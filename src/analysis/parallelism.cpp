@@ -38,11 +38,7 @@ class ProfilingEngine : public EngineBase {
 
  protected:
   void submit_change(const Wme* wme, std::int8_t sign) override {
-    match::Task root;
-    root.kind = match::TaskKind::Root;
-    root.sign = sign;
-    root.wme = wme;
-    queue_.push_back(Timed{root, 0});
+    queue_.push_back(Timed{match::root_task(wme, sign), 0});
     drain();
   }
   void wait_quiescent() override { finish_phase(); }

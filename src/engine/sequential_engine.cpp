@@ -26,11 +26,7 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
 }
 
 void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {
-  match::Task root;
-  root.kind = match::TaskKind::Root;
-  root.sign = sign;
-  root.wme = wme;
-  queue_.push_back(root);
+  queue_.push_back(match::root_task(wme, sign));
   drain();
 }
 

@@ -20,12 +20,12 @@
 //    scheme), or hold the line in side mode + the modification lock around
 //    the memory-update phase (MRSW scheme, via process_join_update /
 //    process_join_probe), or run the optimistic Seqlock protocol
-//    (speculate_join_probe with no lock held, then
-//    LineLocks::try_writer_commit + process_join_update +
-//    commit_spec_probe under the writer lock — see SpecProbe below).
-//    Batched drivers must fold Task::world into the
-//    lock index — tasks from different worlds never share memory, but may
-//    share a lock (false sharing is allowed; false non-sharing is not).
+//    (speculate_join_probe with no lock held, then a validating writer
+//    lock + process_join_update + commit_spec_probe — see SpecProbe
+//    below). engine/match_pool.cpp does this for every threaded engine.
+//    It folds Task::world into the lock index — tasks from different
+//    worlds never share memory, but may share a lock (false sharing is
+//    allowed; false non-sharing is not).
 //  - Root and Terminal tasks touch no line.
 //
 // Sequential drivers call the same entry points with no locks held.
@@ -148,8 +148,8 @@ void process_join_probe(MatchContext& ctx, WorldContext& world,
 // Positive joins only, hash backend only. The driver snapshots the line's
 // sequence (LineLocks::seq_begin), runs speculate_join_probe with NO lock
 // held — emissions are appended to `out`, stats deferred into `spec` so a
-// discarded attempt counts nothing — then validates-and-locks with
-// LineLocks::try_writer_commit. On success the line is provably unchanged
+// discarded attempt counts nothing — then takes the writer lock and
+// validates the snapshot under it. On success the line is provably unchanged
 // since the snapshot, so the speculative probe result equals a probe at the
 // serialization point; the driver runs process_join_update (the real
 // mutation, stats counted once) under the lock and flushes `spec` via

@@ -35,4 +35,14 @@ struct Task {
   }
 };
 
+// The root task of one working-memory change (+1 add, -1 delete).
+inline Task root_task(const Wme* wme, std::int8_t sign,
+                      std::uint32_t world = 0) {
+  Task t;
+  t.sign = sign;
+  t.world = world;
+  t.wme = wme;
+  return t;
+}
+
 }  // namespace psme::match

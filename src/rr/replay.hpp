@@ -19,8 +19,8 @@
 //    report's first_bad_cycle; when the log stored per-entry hashes the
 //    report names the first differing instantiations.
 //
-// Engines integrate differently: ParallelEngine swaps its Scheduler for
-// make_replay_scheduler() (workers poll it concurrently); SimEngine is
+// Engines integrate differently: the threaded MatchPool swaps its Scheduler
+// for make_replay_scheduler() (workers poll it concurrently); SimEngine is
 // single-threaded and calls the coordinator's poll/completed primitives
 // directly from its pop coroutine.
 #pragma once

@@ -135,17 +135,16 @@ std::vector<SessionId> Server::open_shard_sessions(
 }
 
 bool Server::close_session(SessionId id) {
-  std::shared_ptr<Entry> doomed;
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return false;
-    doomed = std::move(it->second);
-    sessions_.erase(it);
-  }
-  // An in-flight request still holds a shared_ptr; the session dies when
-  // the last holder drops it.
-  std::lock_guard<std::mutex> busy(doomed->mu);
+  std::shared_ptr<Entry> doomed;  // released after the lock: may own the engine
+  std::unique_lock<std::mutex> lk(mu_);
+  auto it = sessions_.find(id);
+  if (it == sessions_.end()) return false;
+  doomed = std::move(it->second);
+  sessions_.erase(it);
+  doomed->closed = true;
+  // A worker still holds the entry while it answers the queued requests;
+  // the session dies when the last holder drops it.
+  idle_cv_.wait(lk, [&] { return !doomed->owned; });
   return true;
 }
 
@@ -162,22 +161,37 @@ std::future<Response> Server::submit(SessionId id, std::string line,
   item.deadline = deadline;
   item.enqueue_us = now_us();
   std::future<Response> future = item.promise.get_future();
+  // Answers at once, without queueing.
+  auto refuse = [&](std::string text) {
+    Response r{false, std::move(text)};
+    r.enqueue_us = item.enqueue_us;
+    r.complete_us = item.enqueue_us;
+    item.promise.set_value(std::move(r));
+    return std::move(future);
+  };
   {
     std::lock_guard<std::mutex> lk(mu_);
-    if (draining_ || queue_.size() >= config_.queue_capacity) {
+    if (draining_ || queued_ >= config_.queue_capacity) {
       ++stats_.shed_overload;
-      Response r{false,
-                 draining_ ? std::string("overloaded server draining")
-                           : "overloaded queue=" +
-                                 std::to_string(queue_.size()) + " cap=" +
-                                 std::to_string(config_.queue_capacity)};
-      r.enqueue_us = item.enqueue_us;
-      r.complete_us = item.enqueue_us;
-      item.promise.set_value(std::move(r));
-      return future;
+      return refuse(draining_ ? std::string("overloaded server draining")
+                              : "overloaded queue=" + std::to_string(queued_) +
+                                    " cap=" +
+                                    std::to_string(config_.queue_capacity));
     }
     ++stats_.accepted;
-    queue_.push_back(std::move(item));
+    auto it = sessions_.find(id);
+    if (it == sessions_.end()) {
+      // No mailbox to queue in: counted as accepted and completed like
+      // any other request.
+      ++stats_.completed;
+      return refuse("no such session " + std::to_string(id));
+    }
+    Entry& entry = *it->second;
+    entry.mailbox.push_back(std::move(item));
+    ++queued_;
+    // Already runnable, or owned by a worker that will requeue it.
+    if (entry.owned || entry.mailbox.size() > 1) return future;
+    runnable_.push_back(it->second);
   }
   work_cv_.notify_one();
   return future;
@@ -195,42 +209,52 @@ Session* Server::session(SessionId id) {
 
 void Server::worker_main() {
   for (;;) {
-    Item item;
     std::shared_ptr<Entry> entry;
+    Item item;
+    bool closed;
     {
       std::unique_lock<std::mutex> lk(mu_);
-      work_cv_.wait(lk, [this] { return stopped_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stopped_ and drained
-      item = std::move(queue_.front());
-      queue_.pop_front();
+      work_cv_.wait(lk, [this] { return stopped_ || !runnable_.empty(); });
+      if (runnable_.empty()) return;  // stopped_ and drained
+      entry = std::move(runnable_.front());
+      runnable_.pop_front();
+      item = std::move(entry->mailbox.front());
+      entry->mailbox.pop_front();
+      entry->owned = true;
+      closed = entry->closed;
+      --queued_;
       ++in_flight_;
-      auto it = sessions_.find(item.id);
-      if (it != sessions_.end()) entry = it->second;
     }
 
     Response response;
-    if (!entry) {
+    bool expired = false;
+    if (closed) {
       response = {false, "no such session " + std::to_string(item.id)};
     } else if (std::chrono::steady_clock::now() > item.deadline) {
       response = {false, "deadline expired in queue"};
-      std::lock_guard<std::mutex> lk(mu_);
-      ++stats_.shed_deadline;
+      expired = true;
     } else {
-      std::lock_guard<std::mutex> session_lock(entry->mu);
       response = entry->session->execute(item.line, item.deadline);
     }
     response.enqueue_us = item.enqueue_us;
     response.complete_us = now_us();
-    item.promise.set_value(std::move(response));
 
-    bool idle;
+    bool requeued, notify_idle;
     {
+      // Published before the reply: a stats() call made after the
+      // future resolves counts this request.
       std::lock_guard<std::mutex> lk(mu_);
       ++stats_.completed;
+      if (expired) ++stats_.shed_deadline;
       --in_flight_;
-      idle = queue_.empty() && in_flight_ == 0;
+      entry->owned = false;
+      requeued = !entry->mailbox.empty();
+      if (requeued) runnable_.push_back(entry);
+      notify_idle = entry->closed || (queued_ == 0 && in_flight_ == 0);
     }
-    if (idle) drain_cv_.notify_all();
+    item.promise.set_value(std::move(response));
+    if (requeued) work_cv_.notify_one();
+    if (notify_idle) idle_cv_.notify_all();
   }
 }
 
@@ -238,7 +262,7 @@ void Server::drain() {
   {
     std::unique_lock<std::mutex> lk(mu_);
     draining_ = true;
-    drain_cv_.wait(lk, [this] { return queue_.empty() && in_flight_ == 0; });
+    idle_cv_.wait(lk, [this] { return queued_ == 0 && in_flight_ == 0; });
     stopped_ = true;
   }
   work_cv_.notify_all();

@@ -13,8 +13,13 @@
 //    a worker picks it up is answered `err deadline ...` without touching
 //    the engine (and `run` slices check the deadline while executing).
 //
-// One session's requests execute in submission order (a per-session mutex
-// serializes them); different sessions run in parallel across the pool.
+// Each session is an actor with a FIFO mailbox: it is runnable when its
+// mailbox is non-empty and no worker owns it. A worker takes the session
+// at the head of the runnable queue, runs ONE request, and puts the
+// session back at the tail if more remain. So one session's requests
+// execute one at a time in submission order, different sessions run in
+// parallel across the pool, and a busy session cannot starve the rest.
+// queue_capacity bounds the requests queued in all mailboxes together.
 // drain() is the graceful shutdown: it stops admission, lets the queue
 // empty, and joins the workers — queued work is finished, not dropped.
 #pragma once
@@ -99,7 +104,9 @@ class Server {
                                              std::uint16_t lanes,
                                              shard::KeylessPolicy keyless,
                                              bool overlap);
-  bool close_session(SessionId id);  // queued requests answer `err`
+  // Waits for the session's in-flight request, if any, to finish; its
+  // queued requests answer `err no such session`.
+  bool close_session(SessionId id);
   std::size_t session_count() const;
 
   // Enqueues one command. The future resolves when a worker has executed
@@ -122,10 +129,6 @@ class Server {
   double now_us() const;
 
  private:
-  struct Entry {
-    std::unique_ptr<Session> session;
-    std::mutex mu;  // serializes this session's requests
-  };
   struct Item {
     SessionId id = 0;
     std::string line;
@@ -133,23 +136,33 @@ class Server {
     std::promise<Response> promise;
     double enqueue_us = 0;
   };
+  // One session and its mailbox; every field but `session` is under mu_.
+  // In runnable_ exactly when the mailbox is non-empty and !owned.
+  struct Entry {
+    std::unique_ptr<Session> session;
+    std::deque<Item> mailbox;
+    bool owned = false;   // a worker is executing one of its requests
+    bool closed = false;  // close_session ran: remaining requests fail
+  };
 
   void worker_main();
 
   ServerConfig config_;
   std::chrono::steady_clock::time_point epoch_;
-  mutable std::mutex mu_;  // guards sessions_, queue_, stats_, flags
-  std::condition_variable work_cv_;   // workers: queue non-empty or stopping
-  std::condition_variable drain_cv_;  // drain(): queue empty and idle
+  mutable std::mutex mu_;  // guards sessions_, mailboxes, stats_, flags
+  std::condition_variable work_cv_;  // workers: a session runnable or stopping
+  // drain(): nothing queued or in flight; close_session(): not owned.
+  std::condition_variable idle_cv_;
   // Shared engines behind batch/shard sessions. Declared before
   // sessions_ so they are destroyed after every Session that points into
   // them.
   std::vector<std::unique_ptr<world::BatchEngine>> batches_;
   std::vector<std::unique_ptr<shard::ShardGroup>> shard_groups_;
   std::unordered_map<SessionId, std::shared_ptr<Entry>> sessions_;
-  std::deque<Item> queue_;
+  std::deque<std::shared_ptr<Entry>> runnable_;
   std::vector<std::thread> workers_;
   SessionId next_id_ = 1;
+  std::size_t queued_ = 0;  // requests in all mailboxes
   std::size_t in_flight_ = 0;
   bool draining_ = false;
   bool stopped_ = false;

@@ -36,10 +36,7 @@ ShardState::Slice& ShardState::slice(std::uint32_t session) {
 
 void ShardState::apply_delta(const WmDeltaFrame& f) {
   Slice& s = slice(f.session);
-  match::Task root;
-  root.kind = match::TaskKind::Root;
-  root.sign = f.sign;
-  root.world = f.session;
+  match::Task root = match::root_task(nullptr, f.sign, f.session);
   if (f.sign > 0) {
     root.wme = s.w.wm->make_with_tag(f.tag, f.cls, f.fields);
   } else {

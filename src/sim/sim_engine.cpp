@@ -395,7 +395,7 @@ SubTask<bool> SimEngine::join_task(SimCpu& cpu, WorkerState& w,
 
   // Record/replay: join tasks commit while the serializing line lock is
   // still held, so the log order is a valid serialization (see the
-  // threaded engine's execute_task for the full argument — coroutine
+  // threaded engines' MatchPool::execute for the full argument — coroutine
   // interleaving at co_await points creates the same epoch inversion).
   auto rr_commit = [&] {
     if (options_.rr_record) options_.rr_record->on_commit(w.id, task);
@@ -700,10 +700,7 @@ Proc SimEngine::control_main() {
           phase_start = cpu.now;
           first = false;
         }
-        match::Task root;
-        root.kind = match::TaskKind::Root;
-        root.sign = sign;
-        root.wme = wme;
+        const match::Task root = match::root_task(wme, sign);
         if (steal_mode()) {
           co_await steal_push(cpu, root, ctrl_ep, control_stats_, false);
         } else {
@@ -716,10 +713,7 @@ Proc SimEngine::control_main() {
           cpu, cm.rhs_per_change * static_cast<VTime>(changes.size()));
       phase_start = cpu.now;
       for (const auto& [wme, sign] : changes) {
-        match::Task root;
-        root.kind = match::TaskKind::Root;
-        root.sign = sign;
-        root.wme = wme;
+        const match::Task root = match::root_task(wme, sign);
         if (steal_mode()) {
           co_await steal_push(cpu, root, ctrl_ep, control_stats_, false);
         } else {

@@ -12,32 +12,25 @@
 //    worlds touch disjoint state, so the serve layer may run
 //    run_world(a) and run_world(b) concurrently from different threads
 //    (a != b). This is the serving configuration.
-//  - k > 0 (threaded): a ParallelEngine-style parked worker pool executes
-//    the combined task stream of all worlds; run_all() drives every world
-//    through its recognize-act cycles with ONE global quiescence barrier
-//    per batch round instead of one per world per cycle.
-//
-// Locking (threaded mode): worlds have private hash tables but share one
-// LineLocks array. The lock index mixes the task's bucket line with its
-// world id — two tasks for the same (world, bucket) always collide on the
-// same lock; tasks from different worlds may false-share a lock (harmless)
-// but can never false-NOT-share one.
+//  - k > 0 (threaded): an N-slot MatchPool (engine/match_pool.hpp) — the
+//    workers, scheduler, lock array and lock dispatch ParallelEngine runs
+//    on — executes the combined task stream of all worlds; run_all()
+//    drives every world through its recognize-act cycles with ONE global
+//    quiescence barrier per batch round instead of one per world per cycle.
+//    Worlds have private hash tables but share the pool's lock array,
+//    sized to the per-world line count times min(bit_ceil(worlds), 8).
 //
 // Determinism: per-world firing sequences equal a solo SequentialEngine
 // run of the same world (equal conflict sets at quiescence + deterministic
 // conflict resolution); tests/world_equivalence_test.cpp proves it with
-// per-cycle rr digests. Record/replay hooks are not supported here —
-// rr_record/rr_replay on the options are rejected; FaultInjector is
-// honored by the threaded worker loop exactly as in ParallelEngine.
+// per-cycle rr digests. rr_record/rr_replay are rejected (a replay log
+// holds one world); FaultInjector and Observability ride the shared pool
+// exactly as under ParallelEngine.
 #pragma once
 
-#include <atomic>
-#include <condition_variable>
-#include <mutex>
-#include <thread>
+#include <memory>
 
-#include "match/line_locks.hpp"
-#include "match/scheduler.hpp"
+#include "engine/match_pool.hpp"
 #include "world/world.hpp"
 
 namespace psme::world {
@@ -47,7 +40,6 @@ class BatchEngine {
   // Builds options.worlds worlds (must be >= 1). Throws invalid_argument
   // on nonsensical combinations (non-hash memories, rr record/replay).
   BatchEngine(const ops5::Program& program, EngineOptions options);
-  ~BatchEngine();
 
   std::uint32_t num_worlds() const { return pool_.size(); }
   World& world(std::uint32_t w) { return pool_.world(w); }
@@ -89,62 +81,35 @@ class BatchEngine {
   // quiescent point, per world). Enable before running.
   void set_digest_capture(bool on) { digest_capture_ = on; }
 
-  // Aggregated match-process statistics (threaded mode; valid after
-  // run_all). Inline mode accumulates into each world's stats.match.
+  // Aggregated control + match-process statistics (threaded mode; valid
+  // after run_all). Inline mode accumulates into each world's stats.match.
   const MatchStats& match_stats() const { return batch_match_stats_; }
-  std::uint64_t threads_spawned() const { return thread_spawns_; }
+  std::uint64_t threads_spawned() const {
+    return match_pool_ ? match_pool_->threads_spawned() : 0;
+  }
 
  private:
-  struct Worker {
-    MatchStats stats;
-    std::thread thread;
-  };
   // Per-world RhsEffects: routes a production's WM changes back into this
   // engine as (world, root-task) submissions.
   class WorldEffects;
 
   void submit_change(World& w, const Wme* wme, std::int8_t sign);
   void drain_world_queue(World& w);  // inline mode
-  void wait_all_quiescent();
-  void begin_run();
-  void end_run();
-  void worker_main(int index);
-  void execute_task(match::MatchContext& ctx, const match::Task& task,
-                    std::vector<match::Task>& emit_buf, unsigned ep,
-                    MatchStats& stats);
   void apply_restored_refraction(World& w);
   void capture_digest(World& w);
   // One world's recognize-act select+fire; returns false when the world
   // is finished (live cleared, last_reason set).
   bool fire_one(World& w);
 
-  std::uint32_t lock_line_of(std::uint32_t bucket_line,
-                             std::uint32_t world) const {
-    std::uint64_t h =
-        (static_cast<std::uint64_t>(world) << 32) | bucket_line;
-    h *= 0x9e3779b97f4a7c15ull;
-    h ^= h >> 29;
-    return static_cast<std::uint32_t>(h) & lock_mask_;
-  }
-
   EngineOptions options_;
   WorldPool pool_;
   const rete::CodeStore* code_ = nullptr;
   bool digest_capture_ = false;
 
-  // Threaded mode (match_processes > 0).
-  std::unique_ptr<match::Scheduler> sched_;
-  std::unique_ptr<match::LineLocks> line_locks_;
-  std::uint32_t lock_mask_ = 0;
-  unsigned control_ep_ = 0;
-  std::vector<std::unique_ptr<Worker>> workers_;
   MatchStats batch_match_stats_;
-  std::atomic<bool> shutdown_{false};
-  std::atomic<bool> active_{false};
-  std::mutex pool_mu_;
-  std::condition_variable pool_cv_;
-  int parked_ = 0;
-  std::uint64_t thread_spawns_ = 0;
+  // Threaded mode (match_processes > 0); declared last so its workers
+  // are joined before the worlds they point into are destroyed.
+  std::unique_ptr<MatchPool> match_pool_;
 };
 
 }  // namespace psme::world

@@ -1,5 +1,6 @@
 // Trace recorder: golden-file JSON format, and trace <-> MatchStats
-// consistency for both parallel engines on a real workload.
+// consistency for the threaded, simulated and batched-worlds engines on a
+// real workload.
 #include "obs/trace.hpp"
 
 #include <gtest/gtest.h>
@@ -92,23 +93,37 @@ TEST(TraceRecorderTest, OutOfRangeWorkerClampsToLastStream) {
 // Shared harness: run the tourney workload with an Observability attached
 // and verify the trace agrees with the merged MatchStats — every completed
 // task has exactly one event, and the per-side line-probe sums match.
-void run_and_check(ExecutionMode mode) {
+// `worlds` > 0 runs that many copies of the workload on a threaded
+// world::BatchEngine instead of the Engine facade.
+void run_and_check(ExecutionMode mode, std::uint32_t worlds = 0) {
   const workloads::Workload w = workloads::tourney();
   const auto program = ops5::Program::from_source(w.source);
 
   Observability obs;
-  EngineConfig config;
-  config.mode = mode;
-  config.options.match_processes = 4;
-  config.options.task_queues = 2;
-  config.options.lock_scheme = match::LockScheme::Mrsw;
-  config.options.max_cycles = 40;
-  config.options.obs = &obs;
+  EngineOptions options;
+  options.match_processes = 4;
+  options.task_queues = 2;
+  options.lock_scheme = match::LockScheme::Mrsw;
+  options.max_cycles = 40;
+  options.obs = &obs;
 
-  Engine engine(program, config);
-  for (const std::string& wme : w.initial_wmes) engine.make(wme);
-  const RunResult result = engine.run();
-  ASSERT_GT(result.stats.match.tasks_executed, 0u);
+  MatchStats stats;
+  if (worlds > 0) {
+    options.worlds = worlds;
+    world::BatchEngine batch(program, options);
+    for (std::uint32_t i = 0; i < worlds; ++i)
+      for (const std::string& wme : w.initial_wmes) batch.make(i, wme);
+    batch.run_all();
+    stats = batch.match_stats();
+  } else {
+    EngineConfig config;
+    config.mode = mode;
+    config.options = options;
+    Engine engine(program, config);
+    for (const std::string& wme : w.initial_wmes) engine.make(wme);
+    stats = engine.run().stats.match;
+  }
+  ASSERT_GT(stats.tasks_executed, 0u);
 
   std::ostringstream os;
   obs.trace.write_json(os);
@@ -132,9 +147,9 @@ void run_and_check(ExecutionMode mode) {
     if (name != "requeue_left" && name != "requeue_right") completed += 1;
   }
   EXPECT_EQ(x_events, obs.trace.event_count());
-  EXPECT_EQ(completed, result.stats.match.tasks_executed);
-  EXPECT_EQ(side_probes[0], result.stats.match.line_probes[0]);
-  EXPECT_EQ(side_probes[1], result.stats.match.line_probes[1]);
+  EXPECT_EQ(completed, stats.tasks_executed);
+  EXPECT_EQ(side_probes[0], stats.line_probes[0]);
+  EXPECT_EQ(side_probes[1], stats.line_probes[1]);
 }
 
 TEST(TraceEngineTest, ThreadedEngineMatchesStats) {
@@ -143,6 +158,10 @@ TEST(TraceEngineTest, ThreadedEngineMatchesStats) {
 
 TEST(TraceEngineTest, SimulatedEngineMatchesStats) {
   run_and_check(ExecutionMode::SimulatedMultimax);
+}
+
+TEST(TraceEngineTest, ThreadedBatchEngineMatchesStats) {
+  run_and_check(ExecutionMode::ParallelThreads, /*worlds=*/8);
 }
 
 }  // namespace

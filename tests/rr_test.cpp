@@ -91,11 +91,13 @@ TEST(Digests, SensitiveToWorkingMemoryAndConflictSet) {
 // The tentpole property: record once, replay pinned to the recorded
 // schedule, and every cycle digest matches (bit-identical quiescent
 // states) with zero divergences, across workloads x engine modes x
-// scheduler disciplines.
+// scheduler disciplines. The names are held inline rather than as
+// pointers: gtest prints the parameter's bytes into each listed test
+// name, and pointer bytes change with the load address.
 struct MatrixCase {
-  const char* workload;
-  const char* mode;
-  const char* scheduler;
+  char workload[8];
+  char mode[8];
+  char scheduler[8];
 };
 
 std::string case_name(const ::testing::TestParamInfo<MatrixCase>& info) {

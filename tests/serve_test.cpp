@@ -203,7 +203,37 @@ TEST(Server, BackpressureShedsOnQueueOverflow) {
   EXPECT_GT(shed, 0u);  // 40 deep into a busy capacity-2 queue must shed
   const ServerStats stats = server.stats();
   EXPECT_EQ(stats.shed_overload, shed);
-  EXPECT_EQ(stats.completed, ok_count + 1);  // + the slow head request
+  // + the initial make and the slow head request.
+  EXPECT_EQ(stats.completed, ok_count + 2);
+}
+
+TEST(Server, ClosedSessionAnswersItsQueuedRequestsWithErr) {
+  const auto program = ops5::Program::from_source(kTicker);
+  // One worker, pinned by a slow request of session `busy`, so the
+  // requests of `doomed` are still in its mailbox when it is closed.
+  Server server({.workers = 1, .queue_capacity = 16});
+  const SessionId busy = server.open_session(program, {});
+  const SessionId doomed = server.open_session(program, {});
+  ASSERT_TRUE(server.call(busy, "make (c ^n 0)").ok);
+  ASSERT_TRUE(server.call(doomed, "make (c ^n 0)").ok);
+
+  auto slow = server.submit(busy, "run 2000");
+  std::vector<std::future<Response>> queued;
+  for (int i = 0; i < 3; ++i) queued.push_back(server.submit(doomed, "run 1"));
+  EXPECT_TRUE(server.close_session(doomed));
+  EXPECT_EQ(server.session_count(), 1u);
+  ASSERT_TRUE(slow.get().ok);
+  for (auto& f : queued) {
+    const Response r = f.get();
+    EXPECT_FALSE(r.ok);
+    EXPECT_TRUE(r.text.starts_with("no such session")) << r.text;
+  }
+  const Response late = server.call(doomed, "run 1");
+  EXPECT_TRUE(late.text.starts_with("no such session")) << late.text;
+  // Every accepted request, answered or refused, is counted as completed.
+  const ServerStats stats = server.stats();
+  EXPECT_EQ(stats.accepted, 7u);
+  EXPECT_EQ(stats.completed, 7u);
 }
 
 TEST(Server, ExpiredDeadlinesAreShedInQueue) {

@@ -7,6 +7,8 @@
 // worlds (arena-ownership leak check).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "engine/sequential_engine.hpp"
 #include "rr/digest.hpp"
 #include "rr/fault.hpp"
@@ -124,22 +126,31 @@ TEST(WorldEquivalence, Batch64WorldsEqualsSixtyFourSequentialRuns) {
   expect_worlds_match(inline_batch, refs, "inline");
 
   // The threaded pool interleaves every world's tasks over shared workers
-  // and a shared lock array; per-world results must not change.
-  for (const auto scheme :
-       {match::LockScheme::Simple, match::LockScheme::Mrsw,
-        match::LockScheme::Seqlock}) {
-    EngineOptions topt = opt;
-    topt.match_processes = 3;
-    topt.task_queues = 2;
-    topt.lock_scheme = scheme;
-    BatchEngine threaded(program, topt);
-    threaded.set_digest_capture(true);
-    load_batch(threaded, wl);
-    threaded.run_all();
-    expect_worlds_match(threaded, refs,
-                        scheme == match::LockScheme::Simple ? "threaded/simple"
-                        : scheme == match::LockScheme::Mrsw ? "threaded/mrsw"
-                                                            : "threaded/seqlock");
+  // and a shared lock array; per-world results must not change under any
+  // lock scheme or scheduler discipline.
+  for (const auto sched :
+       {match::SchedulerKind::Central, match::SchedulerKind::Steal}) {
+    for (const auto scheme :
+         {match::LockScheme::Simple, match::LockScheme::Mrsw,
+          match::LockScheme::Seqlock}) {
+      EngineOptions topt = opt;
+      topt.match_processes = 3;
+      topt.task_queues = 2;
+      topt.scheduler = sched;
+      topt.lock_scheme = scheme;
+      BatchEngine threaded(program, topt);
+      threaded.set_digest_capture(true);
+      load_batch(threaded, wl);
+      threaded.run_all();
+      const std::string label =
+          std::string(sched == match::SchedulerKind::Steal
+                          ? "threaded/steal/"
+                          : "threaded/central/") +
+          (scheme == match::LockScheme::Simple ? "simple"
+           : scheme == match::LockScheme::Mrsw ? "mrsw"
+                                               : "seqlock");
+      expect_worlds_match(threaded, refs, label.c_str());
+    }
   }
 }
 
