@@ -51,16 +51,33 @@ void MatchPool::push_root(std::uint32_t world, const Wme* wme,
   sched_->push(match::root_task(wme, sign, world), control_ep_, stats);
 }
 
-void MatchPool::wait_quiescent() {
+namespace {
+// Idle back-off of a match process whose pop came back empty: spin
+// politely, then yield so the other processes (on small hosts, the
+// control thread too) can run.
+void back_off(std::uint32_t& idle) {
+  if (++idle >= 16)
+    std::this_thread::yield();
+  else
+    SpinLock::cpu_relax();
+}
+}  // namespace
+
+void MatchPool::wait_quiescent(MatchStats& control) {
   // All of the phase's root pushes are in: arm the replayer's
   // stuck-schedule detection.
   if (options_.rr_replay) options_.rr_replay->phase_pushed();
-  std::uint32_t spins = 0;
-  while (!sched_->phase_complete()) {
-    SpinLock::cpu_relax();
-    if (++spins >= 64) {
-      std::this_thread::yield();
-      spins = 0;
+  match::MatchContext ctx = match_context(control);
+  // TaskCount is read only after a failed pop: a control that keeps
+  // finding work never polls the shared counter.
+  std::uint32_t idle = 0;
+  for (;;) {
+    if (step(control_ep_, ctx, control_emit_, control)) {
+      idle = 0;
+    } else if (sched_->phase_complete()) {
+      return;
+    } else {
+      back_off(idle);
     }
   }
 }
@@ -104,12 +121,17 @@ void MatchPool::end_run(MatchStats& into) {
   }
 }
 
-void MatchPool::worker_main(unsigned ep) {
-  Worker& w = workers_[ep];
+match::MatchContext MatchPool::match_context(MatchStats& stats) const {
   match::MatchContext ctx;
   ctx.strategy = match::MemoryStrategy::Hash;
-  ctx.stats = &w.stats;
+  ctx.stats = &stats;
   if (options_.match_vm) ctx.code = &network_.code();
+  return ctx;
+}
+
+void MatchPool::worker_main(unsigned ep) {
+  Worker& w = workers_[ep];
+  match::MatchContext ctx = match_context(w.stats);
   std::vector<match::Task> emit_buf;
   for (;;) {
     {
@@ -127,43 +149,37 @@ void MatchPool::worker_main(unsigned ep) {
     std::uint32_t idle = 0;
     while (active_.load(std::memory_order_acquire) &&
            !shutdown_.load(std::memory_order_acquire)) {
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->worker_dead(ep)) {
-          std::this_thread::yield();
-          continue;
-        }
-        if (const std::uint32_t us = faults->stall(ep))
-          std::this_thread::sleep_for(std::chrono::microseconds(us));
-        if (faults->fail_pop(ep)) {
-          SpinLock::cpu_relax();
-          continue;
-        }
-      }
-      match::Task task;
-      if (!sched_->try_pop(&task, ep, w.stats)) {
-        // Idle: between phases, or starved. Back off politely so the
-        // control thread (and, on small hosts, other match processes) can
-        // run.
-        if (++idle >= 16)
-          std::this_thread::yield();
-        else
-          SpinLock::cpu_relax();
-        continue;
-      }
-      idle = 0;
-      if (rr::FaultInjector* faults = options_.rr_faults) {
-        if (faults->drop_requeue(ep)) {
-          sched_->requeue(task, ep, w.stats);
-          continue;
-        }
-        if (faults->lose_task(ep)) {
-          sched_->task_done();  // the bug: discarded but counted done
-          continue;
-        }
-      }
-      execute(ctx, task, emit_buf, ep, w.stats);
+      if (step(ep, ctx, emit_buf, w.stats))
+        idle = 0;
+      else
+        back_off(idle);  // between phases, starved, dead or failed a pop
     }
   }
+}
+
+bool MatchPool::step(unsigned ep, match::MatchContext& ctx,
+                     std::vector<match::Task>& emit_buf, MatchStats& stats) {
+  rr::FaultInjector* faults = options_.rr_faults;
+  if (faults) {
+    if (faults->worker_dead(ep)) return false;
+    if (const std::uint32_t us = faults->stall(ep))
+      std::this_thread::sleep_for(std::chrono::microseconds(us));
+    if (faults->fail_pop(ep)) return false;
+  }
+  match::Task task;
+  if (!sched_->try_pop(&task, ep, stats)) return false;
+  if (faults) {
+    if (faults->drop_requeue(ep)) {
+      sched_->requeue(task, ep, stats);
+      return true;
+    }
+    if (faults->lose_task(ep)) {
+      sched_->task_done();  // the bug: discarded but counted done
+      return true;
+    }
+  }
+  execute(ctx, task, emit_buf, ep, stats);
+  return true;
 }
 
 void MatchPool::execute(match::MatchContext& ctx, const match::Task& task,
@@ -186,10 +202,11 @@ void MatchPool::execute(match::MatchContext& ctx, const match::Task& task,
     queue0 = stats.queue_probes;
   }
   // Stamps one complete event covering the task just processed (including
-  // the emission pushes) with the lock probes it accrued.
+  // the emission pushes) with the lock probes it accrued, on the
+  // endpoint's own stream: 0 for the control, i+1 for worker i.
   auto record = [&](obs::TraceEventKind kind) {
     tracer->record(
-        static_cast<int>(ep) + 1,
+        ep == control_ep_ ? 0 : static_cast<int>(ep) + 1,
         {ts0, trace_now_us() - ts0, kind, task.sign, obs::trace_node_of(task),
          static_cast<std::uint32_t>(stats.line_probes[0] +
                                     stats.line_probes[1] - line0),

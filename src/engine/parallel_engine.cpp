@@ -35,7 +35,7 @@ void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {
 }
 
 void ParallelEngine::wait_quiescent() {
-  pool_.wait_quiescent();
+  pool_.wait_quiescent(stats_.match);
   if (phase_open_) {
     phase_open_ = false;
     stats_.match_seconds +=

@@ -1,6 +1,6 @@
 // PSM-E's threaded engine: one control process (the caller's thread) plus
-// k match processes (std::thread), cooperating through shared memory
-// exactly as in Section 3 of the paper:
+// k match processes (std::thread), cooperating through shared memory as in
+// Section 3 of the paper:
 //
 //  - a single shared Rete network;
 //  - global left/right token hash tables with per-line locks (Simple,
@@ -11,6 +11,12 @@
 //  - a TaskCount counter for match-phase termination;
 //  - the control process pushes root tokens *while still evaluating the
 //    RHS*, so match pipelines with RHS evaluation.
+//
+// One departure: "1+k" means k match processes plus a control that helps.
+// Once the RHS is done, the paper's control idles until TaskCount reaches
+// 0; here it executes match tasks through its own scheduler endpoint until
+// the phase is complete (MatchPool::wait_quiescent), so at 1+k there are
+// k+1 executors and a small phase mostly drains on the control thread.
 //
 // The match processes, scheduler and line locks are a 1-slot MatchPool
 // (engine/match_pool.hpp) over this engine's two tables; the same pool

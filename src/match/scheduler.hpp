@@ -91,8 +91,10 @@ class CentralScheduler final : public Scheduler {
 // single release store (WsDeque::push_batch); a full deque spills to the
 // endpoint's spin-locked overflow list (counted in
 // MatchStats::steal_overflow), which both the owner and thieves drain.
-// The control endpoint only pushes (root tasks); workers acquire those by
+// The control endpoint pushes the root tasks; workers acquire those by
 // stealing, so the control deque doubles as the phase's injection queue.
+// A control that helps drain the phase (MatchPool) pops the same deque
+// from the owner's end, newest first.
 class WorkStealingScheduler final : public Scheduler {
  public:
   WorkStealingScheduler(int endpoints,

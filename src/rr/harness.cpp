@@ -331,11 +331,15 @@ FuzzOutcome fuzz_one(std::uint64_t seed, const FuzzOptions& opt) {
   FaultPlan plan =
       FaultPlan::random(seed, spec.match_processes);
   if (opt.seed_bug) {
+    // The bug may land on any endpoint that executes match tasks: the
+    // threaded control (endpoint match_processes) helps drain each phase
+    // and, on the tiny fast-scale programs, often drains it alone; the
+    // simulated control never matches.
+    const int matchers = spec.match_processes + (spec.mode == "threads");
     FaultOp bug;
     bug.kind = FaultKind::LoseTask;
-    bug.endpoint =
-        static_cast<unsigned>(seed % static_cast<std::uint64_t>(
-                                         spec.match_processes));
+    bug.endpoint = static_cast<unsigned>(
+        seed % static_cast<std::uint64_t>(matchers));
     bug.at_cycle = 0;
     bug.count = 2;
     plan.ops.push_back(bug);

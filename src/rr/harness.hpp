@@ -105,8 +105,10 @@ struct FuzzOptions {
   bool fast = false;           // smaller random programs, lower cycle cap
   std::string mode = "sim";    // engine mode for the faulted run
   std::string scheduler = "central";
-  // Adds a LoseTask op (a genuine bug) to the drawn plan; the run is then
-  // expected to fail and the shrinker to isolate the bad op.
+  // Adds a LoseTask op (a genuine bug) to the drawn plan, on an endpoint
+  // that executes match tasks (in threads mode the control's included);
+  // the run is then expected to fail and the shrinker to isolate the bad
+  // op.
   bool seed_bug = false;
 };
 

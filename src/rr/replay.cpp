@@ -196,17 +196,20 @@ class ReplayScheduler final : public match::Scheduler {
   ReplayScheduler(ReplayCoordinator* coord, int endpoints)
       : coord_(coord), endpoints_(endpoints) {}
 
+  // Only root tasks arrive through push(): a control-endpoint push opens
+  // a new phase. Emissions (push_batch) come from every endpoint, the
+  // control's too while it helps drain a phase, and never reopen one.
   void push(const match::Task& task, unsigned who, MatchStats& stats) override {
+    if (who == static_cast<unsigned>(endpoints_ - 1)) coord_->phase_opened();
     push_batch(&task, 1, who, stats);
   }
 
-  void push_batch(const match::Task* tasks, std::size_t n, unsigned who,
+  void push_batch(const match::Task* tasks, std::size_t n, unsigned /*who*/,
                   MatchStats& stats) override {
     if (n == 0) return;
     count_.fetch_add(static_cast<std::int64_t>(n),
                      std::memory_order_acq_rel);
     SpinGuard g(mu_, &stats.queue_probes);
-    if (who == static_cast<unsigned>(endpoints_ - 1)) coord_->phase_opened();
     for (std::size_t i = 0; i < n; ++i)
       pending_.push_back({tasks[i], task_fingerprint(tasks[i])});
   }

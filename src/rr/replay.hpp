@@ -81,7 +81,8 @@ class ReplayCoordinator {
   // quiescence). Arms stuck-schedule detection.
   void phase_pushed();
   // A new phase's pushes are starting. Disarms it. (The replay scheduler
-  // calls this automatically on control-endpoint pushes.)
+  // calls this automatically on the control's root pushes; the emissions
+  // of tasks the control executes do not reopen the phase.)
   void phase_opened();
   // Quiescent point: checks digests against the recorded cycle.
   void on_quiescent(const WorkingMemory& wm, const ConflictSet& cs);

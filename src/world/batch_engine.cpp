@@ -176,7 +176,8 @@ void BatchEngine::run_all() {
     for (const auto& [wme, sign] : w.pending) submit_change(w, wme, sign);
     w.pending.clear();
   }
-  if (match_pool_) match_pool_->wait_quiescent();  // inline drains eagerly
+  // Inline mode drained eagerly; the threaded control drains here.
+  if (match_pool_) match_pool_->wait_quiescent(batch_match_stats_);
   std::uint64_t round = 0;
   if (options_.rr_faults) options_.rr_faults->set_cycle(round);
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
@@ -199,7 +200,7 @@ void BatchEngine::run_all() {
       if (fire_one(w)) fired.push_back(i);
     }
     if (fired.empty()) break;
-    if (match_pool_) match_pool_->wait_quiescent();
+    if (match_pool_) match_pool_->wait_quiescent(batch_match_stats_);
     if (options_.rr_faults) options_.rr_faults->set_cycle(++round);
     for (const std::uint32_t i : fired) {
       World& w = pool_.world(i);

@@ -14,9 +14,10 @@
 //    (a != b). This is the serving configuration.
 //  - k > 0 (threaded): an N-slot MatchPool (engine/match_pool.hpp) — the
 //    workers, scheduler, lock array and lock dispatch ParallelEngine runs
-//    on — executes the combined task stream of all worlds; run_all()
-//    drives every world through its recognize-act cycles with ONE global
-//    quiescence barrier per batch round instead of one per world per cycle.
+//    on, with the calling thread helping as its control — executes the
+//    combined task stream of all worlds; run_all() drives every world
+//    through its recognize-act cycles with ONE global quiescence barrier
+//    per batch round instead of one per world per cycle.
 //    Worlds have private hash tables but share the pool's lock array,
 //    sized to the per-world line count times min(bit_ceil(worlds), 8).
 //

@@ -136,9 +136,11 @@ void run_and_check(ExecutionMode mode, std::uint32_t worlds = 0) {
   std::uint64_t completed = 0;
   std::uint64_t side_probes[2] = {0, 0};
   std::uint64_t x_events = 0;
+  std::map<std::uint64_t, std::uint64_t> per_stream;
   for (const Json& ev : parsed.at("traceEvents").as_array()) {
     if (ev.at("ph").as_string() != "X") continue;
     x_events += 1;
+    per_stream[ev.at("tid").as_uint()] += 1;
     const std::string& name = ev.at("name").as_string();
     const std::uint64_t lp =
         static_cast<std::uint64_t>(ev.at("args").number_or("line_probes", 0));
@@ -150,6 +152,15 @@ void run_and_check(ExecutionMode mode, std::uint32_t worlds = 0) {
   EXPECT_EQ(completed, stats.tasks_executed);
   EXPECT_EQ(side_probes[0], stats.line_probes[0]);
   EXPECT_EQ(side_probes[1], stats.line_probes[1]);
+  // Events land on the executing endpoint's own stream, one per endpoint:
+  // the threaded control helps drain each phase, so stream 0 carries
+  // task events too; the simulator's control process never matches.
+  EXPECT_LE(per_stream.size(),
+            static_cast<std::size_t>(options.match_processes) + 1);
+  if (mode == ExecutionMode::ParallelThreads)
+    EXPECT_GT(per_stream[0], 0u);
+  else
+    EXPECT_EQ(per_stream.count(0), 0u);
 }
 
 TEST(TraceEngineTest, ThreadedEngineMatchesStats) {

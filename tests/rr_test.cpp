@@ -150,6 +150,35 @@ INSTANTIATE_TEST_SUITE_P(
                       MatrixCase{"tourney", "sim", "steal"}),
     case_name);
 
+// The threaded control executes match tasks while it waits for quiescence,
+// through the control endpoint (endpoint match_processes). Its pops are
+// logged and replayed like any worker's: the replay must pin them to the
+// control thread again and reproduce the run bit-identically.
+TEST(RecordReplay, ControlEndpointPopsAreRecordedAndReplayed) {
+  RunSpec spec;
+  spec.workload = workloads::tourney();
+  spec.mode = "threads";
+  spec.scheduler = "steal";
+  spec.lock_scheme = "mrsw";
+  spec.match_processes = 3;
+  spec.task_queues = 2;
+  spec.max_cycles = 60;
+
+  const RecordedRun rec = record_run(spec);
+  std::size_t control_pops = 0;
+  for (const CycleRecord& c : rec.log.cycles)
+    for (const PopRecord& p : c.pops)
+      if (p.ep == static_cast<unsigned>(spec.match_processes))
+        control_pops += 1;
+  EXPECT_GT(control_pops, 0u);
+
+  const ReplayOutcome out = replay_run(rec.log);
+  EXPECT_TRUE(out.report.ok()) << out.report.detail;
+  EXPECT_EQ(out.report.cycles_checked, rec.log.cycles.size());
+  EXPECT_EQ(out.report.pops_matched, rec.log.pop_count());
+  EXPECT_EQ(out.trace, rec.log.trace);
+}
+
 TEST(RecordReplay, SerializedLogReplaysAfterRoundTrip) {
   RunSpec spec;
   spec.workload = workloads::tourney(8, false);
