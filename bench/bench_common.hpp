@@ -20,6 +20,7 @@
 #pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
 #endif
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -53,6 +54,27 @@ inline std::vector<ProgramSpec> paper_programs() {
   specs.push_back({"Rubik", workloads::rubik(fast ? 8 : 40)});
   specs.push_back({"Tourney", workloads::tourney(fast ? 8 : 13, false)});
   return specs;
+}
+
+// Median and quartiles of repeated wall-clock samples (linear
+// interpolation between order statistics).
+struct Spread {
+  double median = 0;
+  double q1 = 0;
+  double q3 = 0;
+  double iqr() const { return q3 - q1; }
+};
+
+inline Spread spread_of(std::vector<double> v) {
+  if (v.empty()) return {};
+  std::sort(v.begin(), v.end());
+  auto at = [&v](double p) {
+    const double idx = p * static_cast<double>(v.size() - 1);
+    const auto lo = static_cast<std::size_t>(idx);
+    const std::size_t hi = std::min(lo + 1, v.size() - 1);
+    return v[lo] + (v[hi] - v[lo]) * (idx - static_cast<double>(lo));
+  };
+  return {at(0.5), at(0.25), at(0.75)};
 }
 
 struct SeqOutcome {

@@ -14,7 +14,10 @@
 // versus N engine-per-session SequentialEngines, each timed end to end
 // (construction + load + a short run slice, the serving shape). Reported
 // as sessions/sec; the batch side's win is the amortized compile and the
-// shared read-only program image staying cache-warm across worlds.
+// shared read-only program image staying cache-warm across worlds. Each
+// world count runs kWorldsRepeats times (batched and per-engine
+// alternating) and the JSON carries the median sessions/sec, so one run
+// on a loaded host cannot move the CI gate on its own.
 #include <chrono>
 
 #include "bench_common.hpp"
@@ -35,6 +38,7 @@ double seconds_since(std::chrono::steady_clock::time_point t0) {
 // wmes, run a short cycle slice. Returns total cycles run (sanity check:
 // both sides must do identical rule work).
 constexpr std::uint64_t kSliceCycles = 10;
+constexpr int kWorldsRepeats = 5;
 
 int run_worlds_mode(BenchJson& json, const std::vector<std::uint32_t>& counts) {
   // Weaver at small scale: Rete compilation (~1ms) dominates one short
@@ -49,51 +53,61 @@ int run_worlds_mode(BenchJson& json, const std::vector<std::uint32_t>& counts) {
   opt.max_cycles = kSliceCycles;
 
   json.stamp("mode", obs::Json("worlds"));
-  std::printf("\n=== Batched worlds vs engine-per-session ===\n\n");
+  std::printf("\n=== Batched worlds vs engine-per-session "
+              "(median of %d runs) ===\n\n",
+              kWorldsRepeats);
   std::printf("%-8s %16s %16s %10s\n", "WORLDS", "batched sess/s",
               "per-eng sess/s", "speedup");
 
   for (const std::uint32_t w : counts) {
-    // Engine-per-session: each session pays its own Rete compilation.
-    auto t0 = std::chrono::steady_clock::now();
-    std::uint64_t solo_cycles = 0;
-    for (std::uint32_t i = 0; i < w; ++i) {
-      SequentialEngine eng(program, opt);
-      for (const std::string& wme : workload.initial_wmes) eng.make(wme);
-      solo_cycles += eng.run().stats.cycles;
-    }
-    const double solo_s = seconds_since(t0);
-
-    // Batched: one engine, w world slots, one shared compiled image.
-    t0 = std::chrono::steady_clock::now();
-    EngineOptions bopt = opt;
-    bopt.worlds = w;
-    world::BatchEngine batch(program, bopt);
-    for (std::uint32_t i = 0; i < w; ++i) {
-      for (const std::string& wme : workload.initial_wmes)
-        batch.make(i, wme);
-      batch.set_max_cycles(i, kSliceCycles);
-    }
-    batch.run_all();
-    const double batch_s = seconds_since(t0);
+    std::vector<double> solo_rates;
+    std::vector<double> batch_rates;
     std::uint64_t batch_cycles = 0;
-    for (std::uint32_t i = 0; i < w; ++i)
-      batch_cycles += batch.world(i).stats.cycles;
-    if (batch_cycles != solo_cycles) {
-      std::fprintf(stderr, "cycle mismatch: batched %llu vs solo %llu\n",
-                   static_cast<unsigned long long>(batch_cycles),
-                   static_cast<unsigned long long>(solo_cycles));
-      return 1;
+    for (int rep = 0; rep < kWorldsRepeats; ++rep) {
+      // Engine-per-session: each session pays its own Rete compilation.
+      auto t0 = std::chrono::steady_clock::now();
+      std::uint64_t solo_cycles = 0;
+      for (std::uint32_t i = 0; i < w; ++i) {
+        SequentialEngine eng(program, opt);
+        for (const std::string& wme : workload.initial_wmes) eng.make(wme);
+        solo_cycles += eng.run().stats.cycles;
+      }
+      solo_rates.push_back(w / seconds_since(t0));
+
+      // Batched: one engine, w world slots, one shared compiled image.
+      t0 = std::chrono::steady_clock::now();
+      EngineOptions bopt = opt;
+      bopt.worlds = w;
+      world::BatchEngine batch(program, bopt);
+      for (std::uint32_t i = 0; i < w; ++i) {
+        for (const std::string& wme : workload.initial_wmes)
+          batch.make(i, wme);
+        batch.set_max_cycles(i, kSliceCycles);
+      }
+      batch.run_all();
+      batch_rates.push_back(w / seconds_since(t0));
+      batch_cycles = 0;
+      for (std::uint32_t i = 0; i < w; ++i)
+        batch_cycles += batch.world(i).stats().cycles;
+      if (batch_cycles != solo_cycles) {
+        std::fprintf(stderr, "cycle mismatch: batched %llu vs solo %llu\n",
+                     static_cast<unsigned long long>(batch_cycles),
+                     static_cast<unsigned long long>(solo_cycles));
+        return 1;
+      }
     }
 
-    const double batch_sps = w / batch_s;
-    const double solo_sps = w / solo_s;
+    const Spread batch_spread = spread_of(batch_rates);
+    const double batch_sps = batch_spread.median;
+    const double solo_sps = spread_of(solo_rates).median;
     std::printf("%-8u %16.1f %16.1f %9.2fx\n", w, batch_sps, solo_sps,
                 batch_sps / solo_sps);
     json.add(obs::Json(obs::JsonObject{
         {"label", obs::Json("worlds=" + std::to_string(w))},
         {"worlds", obs::Json(std::uint64_t{w})},
         {"sessions_per_sec", obs::Json(batch_sps)},
+        {"sessions_per_sec_iqr", obs::Json(batch_spread.iqr())},
+        {"repeats", obs::Json(kWorldsRepeats)},
         {"per_engine_sessions_per_sec", obs::Json(solo_sps)},
         {"speedup", obs::Json(batch_sps / solo_sps)},
         {"cycles", obs::Json(batch_cycles)},

@@ -1,17 +1,18 @@
 // Shared control-process logic for the OPS5 engines.
 //
 // EngineBase owns everything except match scheduling: the Rete network,
-// working memory, conflict set, compiled RHS code, and the recognize-act
-// cycle. Subclasses decide how a working-memory change reaches the matcher
-// (inline, task queues + threads, or the Multimax simulator) and what
-// "wait for the match phase to finish" means.
+// the conflict set, compiled RHS code, and the recognize-act cycle; the
+// session state itself (working memory, trace, stop bookkeeping) and the
+// act step are SessionState's. Subclasses decide how a working-memory
+// change reaches the matcher (inline, task queues + threads, or the
+// Multimax simulator) and what "wait for the match phase to finish" means.
 #pragma once
 
 #include <memory>
-#include <string_view>
 #include <vector>
 
 #include "engine/options.hpp"
+#include "engine/session_state.hpp"
 #include "match/memory.hpp"
 #include "ops5/parser.hpp"
 #include "ops5/program.hpp"
@@ -23,85 +24,37 @@
 
 namespace psme {
 
-// Full engine state at a quiescent point (between run() calls): enough to
-// reconstruct working memory, the timetag counter, conflict-set refraction,
-// and the firing-trace position in a fresh engine of any mode. Match
-// memories are NOT captured — restore_state() rebuilds them by replaying
-// the live wmes through the matcher, and the deterministic conflict
-// resolution guarantees the resumed run continues the original trace.
-// serve/checkpoint.hpp gives this a serialized form.
-struct WmeSnapshot {
-  TimeTag timetag = 0;
-  SymbolId cls = 0;
-  std::vector<Value> fields;
-};
-
-struct EngineSnapshot {
-  TimeTag next_timetag = 1;
-  std::vector<WmeSnapshot> wmes;      // live wmes, ascending timetag
-  std::vector<FiringRecord> fired;    // live-but-fired instantiations
-  std::vector<FiringRecord> trace;    // firing trace so far
-  std::uint64_t cycles = 0;
-  bool halted = false;
-};
-
-class EngineBase : public RhsEffects {
+class EngineBase : public SessionState {
  public:
   EngineBase(const ops5::Program& program, EngineOptions options);
   ~EngineBase() override = default;
 
-  // Adds a wme before (or between) runs; e.g. "(goal ^type find)".
-  const Wme* make(std::string_view wme_literal);
-  const Wme* make(SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields);
-  // Removes a wme by timetag before (or between) runs.
-  void remove(TimeTag tag);
-
   // Runs recognize-act cycles until halt / empty conflict set / max_cycles.
   virtual RunResult run();
 
-  // Captures the engine state between runs (see EngineSnapshot). The wmes
-  // queued by make()/remove() since the last run are part of the state:
-  // they restore as wmes the resumed run feeds to the matcher first, which
-  // is exactly what the uninterrupted run would have done.
-  EngineSnapshot snapshot_state() const;
-  // Injects a snapshot into a freshly constructed engine (no wmes made, no
-  // runs yet). The next run() rebuilds the match memories from the restored
-  // working memory and re-applies refraction before firing.
-  void restore_state(const EngineSnapshot& snap);
-
-  // Serving support: adjusts the recognize-act cycle cap between runs, so
-  // a session can run in deadline-checked slices.
-  void set_max_cycles(std::uint64_t n) { options_.max_cycles = n; }
+  // Captures the engine state between runs (see EngineSnapshot), with the
+  // refraction set read from the conflict set.
+  EngineSnapshot snapshot_state() const {
+    return SessionState::snapshot_state(cs_);
+  }
+  // restore_state (SessionState) injects a snapshot into a freshly
+  // constructed engine; the next run() rebuilds the match memories from
+  // the restored working memory and re-applies refraction before firing.
 
   const ops5::Program& program() const { return program_; }
   const rete::Network& network() const { return *network_; }
-  const WorkingMemory& wm() const { return wm_; }
   ConflictSet& conflict_set() { return cs_; }
-  const std::vector<FiringRecord>& trace() const { return trace_; }
-  const RunStats& stats() const { return stats_; }
   const EngineOptions& options() const { return options_; }
-
-  // RhsEffects (control process only).
-  void on_make(const Wme* wme) final;
-  void on_remove(const Wme* wme) final;
-  void on_write(const std::string& text) final;
-  void on_halt() final;
 
  protected:
   // Delivers one wme change to the matcher. The parallel engine pushes a
   // root task and returns; the sequential engine matches to fixpoint.
-  virtual void submit_change(const Wme* wme, std::int8_t sign) = 0;
+  void submit_change(const Wme* wme, std::int8_t sign) override = 0;
   // Blocks until the match phase is complete (TaskCount == 0).
   virtual void wait_quiescent() = 0;
   // Called at the start / end of run() (spawn / kill the match processes).
   virtual void begin_run() {}
   virtual void end_run() {}
-
-  // Re-marks restored fired instantiations in the (rebuilt) conflict set.
-  // Called once per run, right after the initial match phase reaches
-  // quiescence; a no-op unless restore_state() queued refraction records.
-  void apply_restored_refraction();
 
   // Record/replay tap, called at every quiescent point (cycle boundary;
   // cycle 0 = initial wme load): advances the fault injector's cycle clock
@@ -109,24 +62,10 @@ class EngineBase : public RhsEffects {
   // No-op unless EngineOptions carries rr hooks.
   void rr_quiescent_hook();
 
-  const ops5::Program& program_;
   EngineOptions options_;
   std::unique_ptr<rete::Network> network_;
-  WorkingMemory wm_;
   ConflictSet cs_;
   std::vector<CompiledRhs> rhs_;
-  std::vector<FiringRecord> trace_;
-  RunStats stats_;
-  bool halted_ = false;
-
-  // Changes submitted before run() starts (consumed by run()).
-  std::vector<std::pair<const Wme*, std::int8_t>> pending_;
-  // Refraction records queued by restore_state(), consumed by the first
-  // run()'s apply_restored_refraction().
-  std::vector<FiringRecord> restored_fired_;
-
- private:
-  bool running_ = false;
 };
 
 }  // namespace psme

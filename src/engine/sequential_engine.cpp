@@ -26,21 +26,10 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
 }
 
 void SequentialEngine::submit_change(const Wme* wme, std::int8_t sign) {
-  queue_.push_back(match::root_task(wme, sign));
-  drain();
-}
-
-void SequentialEngine::drain() {
   using Clock = std::chrono::steady_clock;
   const auto start = Clock::now();
-  while (!queue_.empty()) {
-    const match::Task task = queue_.front();
-    queue_.pop_front();
-    emit_buf_.clear();
-    match::process_task(ctx_, world_, *network_, task, emit_buf_);
-    for (const match::Task& t : emit_buf_) queue_.push_back(t);
-    stats_.match.tasks_executed += 1;
-  }
+  queue_.push_back(match::root_task(wme, sign));
+  match::drain_fifo(ctx_, world_, *network_, queue_, emit_buf_);
   stats_.match_seconds +=
       std::chrono::duration<double>(Clock::now() - start).count();
 }

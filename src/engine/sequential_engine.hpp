@@ -21,8 +21,6 @@ class SequentialEngine : public EngineBase {
   void wait_quiescent() override {}  // submit_change drains to fixpoint
 
  private:
-  void drain();
-
   std::unique_ptr<match::HashTokenTable> left_table_;
   std::unique_ptr<match::HashTokenTable> right_table_;
   std::unique_ptr<match::ListMemories> list_mems_;

@@ -497,4 +497,17 @@ void process_terminal(MatchContext& ctx, WorldContext& world,
   }
 }
 
+void drain_fifo(MatchContext& ctx, WorldContext& world,
+                const rete::Network& net, std::deque<Task>& queue,
+                std::vector<Task>& emit_buf) {
+  while (!queue.empty()) {
+    const Task task = queue.front();
+    queue.pop_front();
+    emit_buf.clear();
+    process_task(ctx, world, net, task, emit_buf);
+    for (const Task& t : emit_buf) queue.push_back(t);
+    ctx.stats->tasks_executed += 1;
+  }
+}
+
 }  // namespace psme::match

@@ -32,6 +32,7 @@
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <vector>
 
 #include "common/stats.hpp"
@@ -197,5 +198,12 @@ inline void process_task(MatchContext& ctx, WorldContext& world,
     case TaskKind::Terminal: process_terminal(ctx, world, task, cost); break;
   }
 }
+
+// Inline FIFO match on the calling thread: pops and processes tasks until
+// `queue` is empty, appending each task's emissions to the back and
+// counting it in ctx.stats. `emit_buf` is scratch.
+void drain_fifo(MatchContext& ctx, WorldContext& world,
+                const rete::Network& net, std::deque<Task>& queue,
+                std::vector<Task>& emit_buf);
 
 }  // namespace psme::match

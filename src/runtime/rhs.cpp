@@ -177,6 +177,14 @@ CompiledRhs compile_rhs(const ops5::Program& program,
   return RhsCompiler(program, prod).compile();
 }
 
+std::vector<CompiledRhs> compile_rhs(const ops5::Program& program) {
+  std::vector<CompiledRhs> rhs;
+  rhs.reserve(program.productions().size());
+  for (const auto& prod : program.productions())
+    rhs.push_back(compile_rhs(program, prod));
+  return rhs;
+}
+
 void run_rhs(const CompiledRhs& rhs, const ops5::Program& program,
              const std::vector<const Wme*>& inst_wmes, WorkingMemory& wm,
              RhsEffects& fx) {

@@ -73,6 +73,8 @@ class WorkingMemory;
 // Compiles one production's RHS against the program's slot layout.
 CompiledRhs compile_rhs(const ops5::Program& program,
                         const ops5::AnalyzedProduction& prod);
+// Compiles every production's RHS, indexed like program.productions().
+std::vector<CompiledRhs> compile_rhs(const ops5::Program& program);
 
 // Executes a compiled RHS for an instantiation (wmes of positive CEs in
 // order). Mutates working memory through `wm` and reports through `fx`.

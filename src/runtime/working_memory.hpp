@@ -38,6 +38,12 @@ class WorkingMemory {
 
   // Frees removed wmes. Call only when no match task can reference them.
   void collect() { retired_.clear(); }
+  // Drops every wme and restarts timetags at 1 (a session reset).
+  void clear() {
+    next_tag_ = 1;
+    live_.clear();
+    retired_.clear();
+  }
 
   // Checkpoint restore: re-creates a wme under its original timetag.
   // `tag` must be unused and below the restored counter.

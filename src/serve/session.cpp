@@ -52,11 +52,15 @@ Response err(std::string text) { return {false, std::move(text)}; }
 Session::Session(const ops5::Program& program, EngineConfig config)
     : program_(program),
       config_(config),
-      engine_(std::make_unique<psme::Engine>(program, config)) {}
+      engine_(std::make_unique<psme::Engine>(program, config)),
+      state_(&engine_->base()) {}
 
 Session::Session(const ops5::Program& program, world::BatchEngine* batch,
                  std::uint32_t slot)
-    : program_(program), batch_(batch), slot_(slot) {
+    : program_(program),
+      batch_(batch),
+      slot_(slot),
+      state_(&batch->world(slot)) {
   if (batch_->options().match_processes != 0)
     throw std::invalid_argument(
         "world-backed sessions need an inline BatchEngine "
@@ -66,12 +70,10 @@ Session::Session(const ops5::Program& program, world::BatchEngine* batch,
 
 Session::Session(const ops5::Program& program, shard::ShardGroup* group,
                  std::uint32_t slot)
-    : program_(program), group_(group), slot_(slot) {}
-
-const std::vector<FiringRecord>& Session::trace() const {
-  if (group_) return group_->trace(slot_);
-  return batch_ ? batch_->world(slot_).trace : engine_->trace();
-}
+    : program_(program),
+      group_(group),
+      slot_(slot),
+      state_(&group->state(slot)) {}
 
 const Wme* Session::do_make(const std::string& literal) {
   if (group_) return group_->make(slot_, literal);
@@ -92,16 +94,6 @@ void Session::do_remove(TimeTag tag) {
     batch_->remove(slot_, tag);
   else
     engine_->remove(tag);
-}
-
-const WorkingMemory& Session::do_wm() const {
-  if (group_) return group_->wm(slot_);
-  return batch_ ? *batch_->world(slot_).wm : engine_->wm();
-}
-
-const RunStats& Session::do_stats() const {
-  if (group_) return group_->run_stats(slot_);
-  return batch_ ? batch_->world(slot_).stats : engine_->stats();
 }
 
 StopReason Session::run_slice(std::uint64_t cycle_cap) {
@@ -155,7 +147,7 @@ Response Session::cmd_modify(const std::string& args) {
   const auto [tag_str, updates] = split_verb(args);
   std::uint64_t tag = 0;
   if (!parse_u64(tag_str, &tag)) return err("modify: bad timetag");
-  const Wme* old = do_wm().find(tag);
+  const Wme* old = state_->wm().find(tag);
   if (!old) return err("modify: no live wme " + tag_str);
   if (updates.empty()) return err("modify: no field updates");
 
@@ -185,7 +177,7 @@ Response Session::cmd_modify(const std::string& args) {
 Response Session::cmd_remove(const std::string& args) {
   std::uint64_t tag = 0;
   if (!parse_u64(args, &tag)) return err("remove: bad timetag");
-  if (!do_wm().find(tag)) return err("remove: no live wme " + args);
+  if (!state_->wm().find(tag)) return err("remove: no live wme " + args);
   do_remove(tag);
   return ok(args);
 }
@@ -195,30 +187,30 @@ Response Session::cmd_run(const std::string& args, Deadline deadline) {
   const bool bounded = !args.empty();
   if (bounded && !parse_u64(args, &budget)) return err("run: bad cycle count");
 
-  const std::uint64_t start = do_stats().cycles;
+  const std::uint64_t start = state_->stats().cycles;
   const std::uint64_t target =
       bounded ? start + budget : std::numeric_limits<std::uint64_t>::max();
   StopReason reason = StopReason::MaxCycles;
   for (;;) {
-    const std::uint64_t cur = do_stats().cycles;
+    const std::uint64_t cur = state_->stats().cycles;
     if (cur >= target) break;
     reason = run_slice(std::min(target, cur + kRunSlice));
     if (reason != StopReason::MaxCycles) break;  // halt / empty conflict set
-    if (do_stats().cycles >= target) break;
+    if (state_->stats().cycles >= target) break;
     if (std::chrono::steady_clock::now() > deadline) {
-      const std::uint64_t done = do_stats().cycles;
+      const std::uint64_t done = state_->stats().cycles;
       return err("deadline cycles=" + std::to_string(done - start) +
                  " total=" + std::to_string(done));
     }
   }
-  const std::uint64_t total = do_stats().cycles;
+  const std::uint64_t total = state_->stats().cycles;
   return ok("cycles=" + std::to_string(total - start) +
             " total=" + std::to_string(total) +
             " reason=" + reason_name(reason));
 }
 
 Response Session::cmd_dump() const {
-  const auto wmes = do_wm().snapshot();
+  const auto wmes = state_->wm().snapshot();
   std::ostringstream out;
   out << wmes.size();
   for (const Wme* w : wmes)
@@ -238,10 +230,10 @@ Response Session::cmd_trace() const {
 }
 
 Response Session::cmd_stats() const {
-  const RunStats& s = do_stats();
+  const RunStats& s = state_->stats();
   return ok("cycles=" + std::to_string(s.cycles) +
             " firings=" + std::to_string(s.firings) +
-            " wm=" + std::to_string(do_wm().size()));
+            " wm=" + std::to_string(state_->wm().size()));
 }
 
 Response Session::cmd_checkpoint() const {
@@ -273,6 +265,7 @@ Response Session::cmd_restore(const std::string& args) {
     auto fresh = std::make_unique<psme::Engine>(program_, config_);
     ckpt.restore(fresh->base());
     engine_ = std::move(fresh);
+    state_ = &engine_->base();
   }
   return ok(std::to_string(ckpt.snapshot.cycles));
 }

@@ -90,7 +90,7 @@ class Session {
 
   // Engine-backed sessions only (null for world-/shard-backed ones).
   const psme::Engine* engine() const { return engine_.get(); }
-  const std::vector<FiringRecord>& trace() const;
+  const std::vector<FiringRecord>& trace() const { return state_->trace(); }
   std::uint64_t requests() const { return requests_; }
 
   // Record every (command, response) pair into `t` (not owned; must
@@ -113,14 +113,13 @@ class Session {
   Response cmd_checkpoint() const;
   Response cmd_restore(const std::string& args);
 
-  // Backend seam: every protocol command goes through these, so the
-  // command implementations are single-sourced across both backends.
+  // Backend seam: the mutating commands go through these, so the command
+  // implementations are single-sourced across the three backends; readers
+  // go through state_.
   const Wme* do_make(const std::string& literal);
   const Wme* do_make(SymbolId cls,
                      const std::vector<std::pair<SymbolId, Value>>& fields);
   void do_remove(TimeTag tag);
-  const WorkingMemory& do_wm() const;
-  const RunStats& do_stats() const;
   StopReason run_slice(std::uint64_t cycle_cap);
 
   const ops5::Program& program_;
@@ -129,6 +128,9 @@ class Session {
   world::BatchEngine* batch_ = nullptr;    // world-slot backend (not owned)
   shard::ShardGroup* group_ = nullptr;     // shard-slot backend (not owned)
   std::uint32_t slot_ = 0;
+  // The backend's control state (engine, world slot or shard session),
+  // read by trace/dump/stats; re-pointed when restore replaces the engine.
+  const SessionState* state_ = nullptr;
   std::uint64_t requests_ = 0;
   rr::SessionTranscript* transcript_ = nullptr;
 };

@@ -27,10 +27,7 @@ ShardState::Slice& ShardState::slice(std::uint32_t session) {
   if (session >= slices_.size())
     throw ProtocolError("session id out of range");
   auto& slot = slices_[session];
-  if (!slot) {
-    slot = std::make_unique<Slice>();
-    world::init_world(slot->w, session, program_, options_, /*endpoints=*/1);
-  }
+  if (!slot) slot = std::make_unique<Slice>(session, program_, options_);
   return *slot;
 }
 
@@ -38,9 +35,9 @@ void ShardState::apply_delta(const WmDeltaFrame& f) {
   Slice& s = slice(f.session);
   match::Task root = match::root_task(nullptr, f.sign, f.session);
   if (f.sign > 0) {
-    root.wme = s.w.wm->make_with_tag(f.tag, f.cls, f.fields);
+    root.wme = s.w.wm().make_with_tag(f.tag, f.cls, f.fields);
   } else {
-    const Wme* wme = s.w.wm->find(f.tag);
+    const Wme* wme = s.w.wm().find(f.tag);
     if (!wme) throw ProtocolError("delta removes unknown timetag");
     root.wme = wme;
     // Deferred: the wme must stay resolvable for tokens forwarded later
@@ -57,7 +54,7 @@ void ShardState::apply_forward(const TaskFwdFrame& f) {
   if (it == join_by_id_.end()) throw ProtocolError("unknown join node id");
   const Token* tok = nullptr;
   for (const std::uint32_t tag : f.tags) {
-    const Wme* wme = s.w.wm->find(tag);
+    const Wme* wme = s.w.wm().find(tag);
     if (!wme) throw ProtocolError("forwarded token names unknown timetag");
     tok = s.w.arenas[0].make_token(tok, wme);
   }
@@ -163,7 +160,7 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
   match::MatchContext ctx;
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &s.w.arenas[0];
-  ctx.stats = &s.w.stats.match;
+  ctx.stats = &s.w.stats().match;
   ctx.code = options_.match_vm ? &net_.code() : nullptr;
   while (!s.w.inline_queue.empty()) {
     const match::Task task = s.w.inline_queue.front();
@@ -173,7 +170,7 @@ void ShardState::drain(Slice& s, BatchWriter& reply) {
     match::process_task(ctx, s.w.ctx, net_, task, s.w.emit_buf, &c);
     price(task, c);
     route(s, task, s.w.emit_buf, reply);
-    s.w.stats.match.tasks_executed += 1;
+    s.w.stats().match.tasks_executed += 1;
     ++tasks_;
     ++batch_tasks_;
   }
@@ -212,9 +209,9 @@ std::string ShardState::handle(const std::string& bytes) {
         for (auto& slot : slices_) {
           if (!slot) continue;
           for (const Wme* wme : slot->deferred_removes)
-            slot->w.wm->remove(wme);
+            slot->w.wm().remove(wme);
           slot->deferred_removes.clear();
-          slot->w.wm->collect();
+          slot->w.wm().collect();
         }
         break;
       case FrameType::PeekQuery: {
@@ -281,8 +278,7 @@ std::string ShardState::handle(const std::string& bytes) {
         if (id >= slices_.size())
           throw ProtocolError("session id out of range");
         if (auto& slot = slices_[id]) {
-          world::reset_world_state(slot->w, program_, options_,
-                                   /*endpoints=*/1);
+          slot->w.reset(options_);
           slot->deferred_removes.clear();
         }
         break;

@@ -72,6 +72,9 @@ class ShardState {
   // set and inline queue; `deferred_removes` holds wmes whose Root(-)
   // already ran but whose storage must survive until quiescence.
   struct Slice {
+    Slice(std::uint32_t session, const ops5::Program& program,
+          const EngineOptions& options)
+        : w(session, program, options, /*endpoints=*/1) {}
     world::World w;
     std::vector<const Wme*> deferred_removes;
   };

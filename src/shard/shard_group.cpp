@@ -2,35 +2,21 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <string>
 #include <unordered_map>
 
-#include "common/symbol_table.hpp"
 #include "obs/metrics.hpp"
-#include "ops5/parser.hpp"
 #include "rr/digest.hpp"
 #include "serve/checkpoint.hpp"
 #include "shard/partition.hpp"
 
 namespace psme::shard {
 
-// Routes one session's RHS effects into its pending-delta queue; the WM
-// mutation itself already happened (run_rhs edits the coordinator WM).
-class ShardGroup::GroupEffects final : public RhsEffects {
- public:
-  GroupEffects(ShardGroup& g, Session& s) : g_(g), s_(s) {}
-  void on_make(const Wme* wme) override { s_.pending.emplace_back(wme, +1); }
-  void on_remove(const Wme* wme) override {
-    s_.pending.emplace_back(wme, -1);
-  }
-  void on_write(const std::string& text) override {
-    if (g_.options_.out) *g_.options_.out << text;
-  }
-  void on_halt() override { s_.halted = true; }
-
- private:
-  ShardGroup& g_;
-  Session& s_;
-};
+ShardGroup::Session::Session(std::uint32_t session,
+                             const ops5::Program& program,
+                             const EngineOptions& options)
+    : SessionState(program, options, "[s" + std::to_string(session) + "] "),
+      id(session) {}
 
 ShardGroup::ShardGroup(const ops5::Program& program, EngineOptions options,
                        ShardGroupConfig cfg)
@@ -38,6 +24,7 @@ ShardGroup::ShardGroup(const ops5::Program& program, EngineOptions options,
       options_(options),
       cfg_(cfg),
       network_(rete::build_network(program)),
+      rhs_(compile_rhs(program)),
       cr_(program) {
   if (cfg_.shards == 0)
     throw std::invalid_argument("ShardGroup: need at least one shard");
@@ -47,16 +34,9 @@ ShardGroup::ShardGroup(const ops5::Program& program, EngineOptions options,
     throw std::invalid_argument(
         "ShardGroup: record/replay hooks are single-engine; use "
         "set_digest_capture for per-cycle digests");
-  rhs_.reserve(program.productions().size());
-  for (const auto& prod : program.productions())
-    rhs_.push_back(compile_rhs(program, prod));
-  sessions_.resize(cfg_.sessions);
-  for (std::uint32_t i = 0; i < cfg_.sessions; ++i) {
-    sessions_[i] = std::make_unique<Session>();
-    sessions_[i]->id = i;
-    sessions_[i]->wm = std::make_unique<WorkingMemory>(program_);
-    sessions_[i]->max_cycles = options_.max_cycles;
-  }
+  sessions_.reserve(cfg_.sessions);
+  for (std::uint32_t i = 0; i < cfg_.sessions; ++i)
+    sessions_.push_back(std::make_unique<Session>(i, program_, options_));
   out_.resize(cfg_.shards);
   epoch_.resize(cfg_.shards, 0);
   stats_.replicated_nodes =
@@ -299,40 +279,29 @@ void ShardGroup::exchange_overlapped(
 }
 
 const Wme* ShardGroup::make(std::uint32_t si, std::string_view wme_literal) {
-  const ops5::WmeLiteral lit = ops5::parse_wme_literal(wme_literal);
-  std::vector<std::pair<SymbolId, Value>> fields;
-  fields.reserve(lit.fields.size());
-  for (const auto& [attr, value] : lit.fields)
-    fields.emplace_back(intern(attr), value);
-  return make(si, intern(lit.cls), fields);
+  std::lock_guard<std::mutex> lk(mu_);
+  return session(si).make(wme_literal);
 }
 
 const Wme* ShardGroup::make(
     std::uint32_t si, SymbolId cls,
     const std::vector<std::pair<SymbolId, Value>>& fields) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  const Wme* wme = s.wm->make(cls, s.wm->build_fields(cls, fields));
-  s.pending.emplace_back(wme, +1);
-  return wme;
+  return session(si).make(cls, fields);
 }
 
 void ShardGroup::remove(std::uint32_t si, TimeTag tag) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  const Wme* wme = s.wm->find(tag);
-  if (!wme) throw std::invalid_argument("remove: no live wme with timetag");
-  s.pending.emplace_back(wme, -1);
-  s.wm->remove(wme);
+  session(si).remove(tag);
 }
 
 void ShardGroup::set_max_cycles(std::uint32_t si, std::uint64_t n) {
   std::lock_guard<std::mutex> lk(mu_);
-  session(si).max_cycles = n;
+  session(si).set_max_cycles(n);
 }
 
 void ShardGroup::flush_pending(Session& s) {
-  for (const auto& [wme, sign] : s.pending) {
+  s.flush_pending([&](const Wme* wme, std::int8_t sign) {
     WmDeltaFrame f;
     f.session = s.id;
     f.sign = sign;
@@ -344,8 +313,7 @@ void ShardGroup::flush_pending(Session& s) {
     // Broadcast: every shard runs the alpha net and keeps its partition.
     for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).wm_delta(f);
     stats_.deltas += 1;
-  }
-  s.pending.clear();
+  });
 }
 
 void ShardGroup::match_round(
@@ -355,15 +323,13 @@ void ShardGroup::match_round(
   // instantiation).
   auto enqueue_quiesce = [&] {
     for (const std::uint32_t id : refraction_for) {
-      Session& s = session(id);
-      for (const FiringRecord& rec : s.restored_fired) {
+      session(id).apply_restored_refraction([&](const FiringRecord& rec) {
         InstFrame f;
         f.session = id;
         f.prod_index = rec.prod_index;
         f.tags.assign(rec.timetags.begin(), rec.timetags.end());
         for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).mark_fired(f);
-      }
-      s.restored_fired.clear();
+      });
     }
     for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).quiesce();
   };
@@ -391,7 +357,7 @@ void ShardGroup::capture_digests(const std::vector<std::uint32_t>& ids) {
   std::vector<std::uint32_t> wanted;
   for (const std::uint32_t id : ids) {
     Session& s = session(id);
-    if (!s.digests.empty() && s.digests.back().cycle == s.stats.cycles)
+    if (!s.digests.empty() && s.digests.back().cycle == s.stats().cycles)
       continue;
     wanted.push_back(id);
     for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).cs_query(id);
@@ -415,28 +381,22 @@ void ShardGroup::capture_digests(const std::vector<std::uint32_t>& ids) {
     // The partition splits the conflict set into disjoint entry sets, so
     // the sorted union hashes identically to a single engine's.
     std::sort(merged.begin(), merged.end());
-    s.digests.push_back({s.stats.cycles, rr::wm_digest(*s.wm),
+    s.digests.push_back({s.stats().cycles, rr::wm_digest(s.wm()),
                          rr::combine_hashes(merged)});
     if (cs_detail_)
-      s.cs_detail.push_back({s.stats.cycles, std::move(shards)});
+      s.cs_detail.push_back({s.stats().cycles, std::move(shards)});
   }
 }
 
 std::vector<std::uint32_t> ShardGroup::fire_phase(
     const std::vector<std::uint32_t>& candidates) {
   std::vector<std::uint32_t> fired;
-  // Stop checks mirror BatchEngine::fire_one, then one batched peek.
+  // The shared stop check, then one batched peek.
   std::vector<std::uint32_t> peeking;
   for (const std::uint32_t id : candidates) {
     Session& s = session(id);
     if (!s.live) continue;
-    if (s.halted) {
-      s.last_reason = StopReason::Halt;
-      s.live = false;
-      continue;
-    }
-    if (s.stats.cycles >= s.max_cycles) {
-      s.last_reason = StopReason::MaxCycles;
+    if (s.stopped()) {
       s.live = false;
       continue;
     }
@@ -464,7 +424,7 @@ std::vector<std::uint32_t> ShardGroup::fire_phase(
     Session& s = session(id);
     auto it = proposals.find(id);
     if (it == proposals.end() || it->second.empty()) {
-      s.last_reason = StopReason::EmptyConflictSet;
+      s.stop(StopReason::EmptyConflictSet);
       s.live = false;
       continue;
     }
@@ -479,7 +439,7 @@ std::vector<std::uint32_t> ShardGroup::fire_phase(
       inst.prod_index = cand.second.prod_index;
       inst.wmes.reserve(cand.second.tags.size());
       for (const std::uint64_t tag : cand.second.tags) {
-        const Wme* wme = s.wm->find(tag);
+        const Wme* wme = s.wm().find(tag);
         if (!wme)
           throw ProtocolError("proposal names a dead timetag");
         inst.wmes.push_back(wme);
@@ -502,25 +462,8 @@ std::vector<std::uint32_t> ShardGroup::fire_phase(
 
   // Act phase: the coordinator owns trace + RHS, as the control process
   // does in every other engine.
-  for (const Winner& w : winners) {
-    Session& s = session(w.session);
-    ++s.stats.cycles;
-    ++s.stats.firings;
-    FiringRecord rec;
-    rec.prod_index = w.prod_index;
-    rec.timetags.reserve(w.wmes.size());
-    for (const Wme* wme : w.wmes) rec.timetags.push_back(wme->timetag);
-    if (options_.watch >= 1 && options_.out) {
-      *options_.out << "[s" << s.id << "] " << s.stats.cycles << ". "
-                    << symbol_name(
-                           program_.productions()[w.prod_index].name);
-      for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-      *options_.out << "\n";
-    }
-    s.trace.push_back(std::move(rec));
-    GroupEffects fx(*this, s);
-    run_rhs(rhs_[w.prod_index], program_, w.wmes, *s.wm, fx);
-  }
+  for (const Winner& w : winners)
+    session(w.session).act(w.prod_index, w.wmes, rhs_[w.prod_index]);
   return fired;
 }
 
@@ -535,14 +478,14 @@ void ShardGroup::run_all() {
     all.push_back(i);
   }
   match_round(/*refraction_for=*/all);
-  for (const std::uint32_t i : all) session(i).wm->collect();
+  for (const std::uint32_t i : all) session(i).wm().collect();
   capture_digests(all);
   for (;;) {
     const std::vector<std::uint32_t> fired = fire_phase(all);
     if (fired.empty()) break;
     for (const std::uint32_t i : fired) flush_pending(session(i));
     match_round({});
-    for (const std::uint32_t i : fired) session(i).wm->collect();
+    for (const std::uint32_t i : fired) session(i).wm().collect();
     capture_digests(fired);
   }
 }
@@ -550,18 +493,14 @@ void ShardGroup::run_all() {
 RunResult ShardGroup::run_session(std::uint32_t si) {
   std::lock_guard<std::mutex> lk(mu_);
   run_session_locked(si);
-  const Session& s = session(si);
-  RunResult r;
-  r.reason = s.last_reason;
-  r.stats = s.stats;
-  return r;
+  return session(si).result();
 }
 
 void ShardGroup::run_session_locked(std::uint32_t si) {
   Session& s = session(si);
   flush_pending(s);
   match_round(/*refraction_for=*/{si});
-  s.wm->collect();
+  s.wm().collect();
   capture_digests({si});
   for (;;) {
     s.live = true;
@@ -569,33 +508,29 @@ void ShardGroup::run_session_locked(std::uint32_t si) {
     if (fired.empty()) break;
     flush_pending(s);
     match_round({});
-    s.wm->collect();
+    s.wm().collect();
     capture_digests({si});
   }
 }
 
 RunResult ShardGroup::result(std::uint32_t si) const {
   std::lock_guard<std::mutex> lk(mu_);
-  const Session& s = session(si);
-  RunResult r;
-  r.reason = s.last_reason;
-  r.stats = s.stats;
-  return r;
-}
-
-const RunStats& ShardGroup::run_stats(std::uint32_t si) const {
-  std::lock_guard<std::mutex> lk(mu_);
-  return session(si).stats;
+  return session(si).result();
 }
 
 const std::vector<FiringRecord>& ShardGroup::trace(std::uint32_t si) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return session(si).trace;
+  return session(si).trace();
 }
 
 const WorkingMemory& ShardGroup::wm(std::uint32_t si) const {
   std::lock_guard<std::mutex> lk(mu_);
-  return *session(si).wm;
+  return session(si).wm();
+}
+
+const SessionState& ShardGroup::state(std::uint32_t si) const {
+  std::lock_guard<std::mutex> lk(mu_);
+  return session(si);
 }
 
 const std::vector<world::World::DigestRow>& ShardGroup::digests(
@@ -612,12 +547,8 @@ const std::vector<ShardGroup::CsDetailRow>& ShardGroup::cs_detail(
 
 EngineSnapshot ShardGroup::snapshot_session(std::uint32_t si) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  EngineSnapshot snap;
-  snap.next_timetag = s.wm->last_timetag() + 1;
-  for (const Wme* wme : s.wm->snapshot())
-    snap.wmes.push_back({wme->timetag, wme->cls, wme->fields});
   // The fired (refraction) set lives on the owning shards.
+  std::vector<FiringRecord> fired;
   for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).fired_query(si);
   exchange(/*priced=*/false, [&](std::uint16_t, const Frame& f) {
     if (f.type != FrameType::FiredReply)
@@ -626,13 +557,10 @@ EngineSnapshot ShardGroup::snapshot_session(std::uint32_t si) {
       FiringRecord rec;
       rec.prod_index = inst.prod_index;
       rec.timetags.assign(inst.tags.begin(), inst.tags.end());
-      snap.fired.push_back(std::move(rec));
+      fired.push_back(std::move(rec));
     }
   });
-  snap.trace = s.trace;
-  snap.cycles = s.stats.cycles;
-  snap.halted = s.halted;
-  return snap;
+  return session(si).snapshot_state(std::move(fired));
 }
 
 void ShardGroup::reset_session(std::uint32_t si) {
@@ -640,15 +568,8 @@ void ShardGroup::reset_session(std::uint32_t si) {
   Session& s = session(si);
   for (std::uint16_t k = 0; k < cfg_.shards; ++k) to(k).reset_session(si);
   exchange(/*priced=*/false);
-  s.wm = std::make_unique<WorkingMemory>(program_);
-  s.trace.clear();
-  s.stats = RunStats{};
-  s.halted = false;
+  s.reset_state(options_.max_cycles);
   s.live = false;
-  s.max_cycles = options_.max_cycles;
-  s.last_reason = StopReason::EmptyConflictSet;
-  s.pending.clear();
-  s.restored_fired.clear();
   s.digests.clear();
   s.cs_detail.clear();
 }
@@ -656,20 +577,7 @@ void ShardGroup::reset_session(std::uint32_t si) {
 void ShardGroup::restore_session(std::uint32_t si,
                                  const EngineSnapshot& snap) {
   std::lock_guard<std::mutex> lk(mu_);
-  Session& s = session(si);
-  if (s.wm->size() != 0 || !s.trace.empty() || s.stats.cycles != 0)
-    throw std::logic_error(
-        "restore_session: session is not fresh (reset first)");
-  for (const WmeSnapshot& ws : snap.wmes) {
-    const Wme* wme = s.wm->make_with_tag(ws.timetag, ws.cls, ws.fields);
-    s.pending.emplace_back(wme, +1);
-  }
-  s.wm->set_next_tag(snap.next_timetag);
-  s.restored_fired = snap.fired;
-  s.trace = snap.trace;
-  s.stats.cycles = snap.cycles;
-  s.stats.firings = snap.cycles;
-  s.halted = snap.halted;
+  session(si).restore_state(snap);
 }
 
 GroupStats ShardGroup::group_stats_locked() {

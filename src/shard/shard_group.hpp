@@ -138,13 +138,15 @@ class ShardGroup {
   // Runs one session to its stop.
   RunResult run_session(std::uint32_t session);
   RunResult result(std::uint32_t session) const;
-  // Live reference (serve's stats/run commands poll it between slices).
-  const RunStats& run_stats(std::uint32_t session) const;
 
   const std::vector<FiringRecord>& trace(std::uint32_t session) const;
   const WorkingMemory& wm(std::uint32_t session) const;
+  // The session's coordinator-side control state, which serve's readers
+  // poll between run slices (its address is stable for the group's life,
+  // across reset_session).
+  const SessionState& state(std::uint32_t session) const;
 
-  // Checkpoints (psme.checkpoint.v1 payload, engine_base.hpp). The fired
+  // Checkpoints (psme.checkpoint.v1 payload, session_state.hpp). The fired
   // list is gathered from the owning shards (FiredQuery); restore
   // replays wmes through the coordinator WM and re-applies refraction on
   // the shards at the next run's first quiescence.
@@ -176,23 +178,17 @@ class ShardGroup {
 
  private:
   // Coordinator-side session state: the authoritative WM (timetags are
-  // assigned here and broadcast), trace, stop bookkeeping, and the
-  // pending deltas produced by make/remove/RHS since the last flush.
-  struct Session {
+  // assigned here and broadcast), trace and stop bookkeeping
+  // (SessionState); make/remove/RHS changes queue as pending deltas until
+  // the next flush.
+  struct Session : SessionState {
+    Session(std::uint32_t session, const ops5::Program& program,
+            const EngineOptions& options);
     std::uint32_t id = 0;
-    std::unique_ptr<WorkingMemory> wm;
-    std::vector<FiringRecord> trace;
-    RunStats stats;
-    bool halted = false;
     bool live = false;
-    std::uint64_t max_cycles = 1'000'000;
-    StopReason last_reason = StopReason::EmptyConflictSet;
-    std::vector<std::pair<const Wme*, std::int8_t>> pending;
-    std::vector<FiringRecord> restored_fired;
     std::vector<world::World::DigestRow> digests;
     std::vector<CsDetailRow> cs_detail;
   };
-  class GroupEffects;
 
   Session& session(std::uint32_t id);
   const Session& session(std::uint32_t id) const;

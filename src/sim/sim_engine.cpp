@@ -3,7 +3,6 @@
 #include <cassert>
 #include <ostream>
 
-#include "common/symbol_table.hpp"
 #include "match/kernel.hpp"
 #include "obs/observability.hpp"
 #include "obs/task_events.hpp"
@@ -39,10 +38,6 @@ SimEngine::SimEngine(const ops5::Program& program, EngineOptions options,
 }
 
 SimEngine::~SimEngine() = default;
-
-void SimEngine::submit_change(const Wme* wme, std::int8_t sign) {
-  rhs_buffer_.emplace_back(wme, sign);
-}
 
 VTime SimEngine::update_cost(const match::MemUpdate& up,
                              const match::ActivationCost& ac,
@@ -738,18 +733,10 @@ Proc SimEngine::control_main() {
   co_await push_changes(std::move(pending_));
   pending_.clear();
   wm_.collect();
-  apply_restored_refraction();
+  apply_restored_refraction(cs_);
   rr_quiescent_hook();
 
-  for (;;) {
-    if (halted_) {
-      stop_reason_ = StopReason::Halt;
-      break;
-    }
-    if (stats_.cycles >= options_.max_cycles) {
-      stop_reason_ = StopReason::MaxCycles;
-      break;
-    }
+  while (!stopped()) {
     VTime cr_cost =
         cm.cr_base + cm.cr_per_instantiation * static_cast<VTime>(cs_.size());
     if (config_.overlap_cr) {
@@ -759,29 +746,11 @@ Proc SimEngine::control_main() {
       cr_cost = cr_cost > last_idle ? cr_cost - last_idle : 0;
     }
     co_await sched_->spend(cpu, cr_cost);
-    auto inst = cs_.select_and_fire(options_.strategy);
-    if (!inst) {
-      stop_reason_ = StopReason::EmptyConflictSet;
-      break;
-    }
-    ++stats_.cycles;
-    ++stats_.firings;
-    FiringRecord rec;
-    rec.prod_index = inst->prod_index;
-    rec.timetags = inst->tags_in_order();
-    if (options_.watch >= 1 && options_.out) {
-      *options_.out << stats_.cycles << ". "
-                    << symbol_name(
-                           program_.productions()[inst->prod_index].name);
-      for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-      *options_.out << "\n";
-    }
-    trace_.push_back(std::move(rec));
-
-    rhs_buffer_.clear();
-    run_rhs(rhs_[inst->prod_index], program_, inst->wmes, wm_, *this);
-    co_await push_changes(std::move(rhs_buffer_));
-    rhs_buffer_.clear();
+    if (!select_and_act(cs_, options_.strategy, rhs_)) break;
+    // The RHS's changes were queued (submit_change's default) and now go
+    // to the match CPUs with their costs.
+    co_await push_changes(std::move(pending_));
+    pending_.clear();
     wm_.collect();
     rr_quiescent_hook();
   }
@@ -864,10 +833,7 @@ RunResult SimEngine::run() {
   sim_total_seconds_ = config_.cost.to_seconds(end_time);
   sched_.reset();
 
-  RunResult result;
-  result.reason = stop_reason_;
-  result.stats = stats_;
-  return result;
+  return result();
 }
 
 }  // namespace psme::sim

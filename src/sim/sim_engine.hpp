@@ -59,8 +59,11 @@ class SimEngine : public EngineBase {
   double sim_total_seconds() const { return sim_total_seconds_; }
 
  protected:
-  // RHS effects are buffered and replayed with costs by the control CPU.
-  void submit_change(const Wme* wme, std::int8_t sign) override;
+  // RHS effects queue as pending changes (SessionState's default
+  // submit_change) and are replayed with costs by the control CPU.
+  void submit_change(const Wme* wme, std::int8_t sign) override {
+    SessionState::submit_change(wme, sign);
+  }
   void wait_quiescent() override {}
 
  private:
@@ -165,11 +168,8 @@ class SimEngine : public EngineBase {
   SleepList idle_workers_;
   SleepList control_wait_;
   bool shutdown_ = false;
-  StopReason stop_reason_ = StopReason::EmptyConflictSet;
   VTime sim_match_time_ = 0;
 
-  // RHS change buffer (filled natively by run_rhs, replayed with costs).
-  std::vector<std::pair<const Wme*, std::int8_t>> rhs_buffer_;
   double sim_total_seconds_ = 0;
 };
 

@@ -3,30 +3,10 @@
 #include <bit>
 #include <stdexcept>
 
-#include "common/symbol_table.hpp"
-#include "ops5/parser.hpp"
 #include "rr/digest.hpp"
 #include "rr/fault.hpp"
 
 namespace psme::world {
-
-// Routes one world's RHS effects back into the batch: WM changes become
-// (world, root-task) submissions, halt flags the world, write goes to the
-// shared sink.
-class BatchEngine::WorldEffects final : public RhsEffects {
- public:
-  WorldEffects(BatchEngine& eng, World& w) : eng_(eng), w_(w) {}
-  void on_make(const Wme* wme) override { eng_.submit_change(w_, wme, +1); }
-  void on_remove(const Wme* wme) override { eng_.submit_change(w_, wme, -1); }
-  void on_write(const std::string& text) override {
-    if (eng_.options_.out) *eng_.options_.out << text;
-  }
-  void on_halt() override { w_.halted = true; }
-
- private:
-  BatchEngine& eng_;
-  World& w_;
-};
 
 BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
     : options_(options),
@@ -59,40 +39,6 @@ BatchEngine::BatchEngine(const ops5::Program& program, EngineOptions options)
   }
 }
 
-const Wme* BatchEngine::make(std::uint32_t wi, std::string_view wme_literal) {
-  const ops5::WmeLiteral lit = ops5::parse_wme_literal(wme_literal);
-  std::vector<std::pair<SymbolId, Value>> fields;
-  fields.reserve(lit.fields.size());
-  for (const auto& [attr, value] : lit.fields)
-    fields.emplace_back(intern(attr), value);
-  return make(wi, intern(lit.cls), fields);
-}
-
-const Wme* BatchEngine::make(
-    std::uint32_t wi, SymbolId cls,
-    const std::vector<std::pair<SymbolId, Value>>& fields) {
-  World& w = pool_.world(wi);
-  const Wme* wme = w.wm->make(cls, w.wm->build_fields(cls, fields));
-  w.pending.emplace_back(wme, +1);
-  return wme;
-}
-
-void BatchEngine::remove(std::uint32_t wi, TimeTag tag) {
-  World& w = pool_.world(wi);
-  const Wme* wme = w.wm->find(tag);
-  if (!wme) throw std::invalid_argument("remove: no live wme with timetag");
-  w.pending.emplace_back(wme, -1);
-  w.wm->remove(wme);
-}
-
-RunResult BatchEngine::result(std::uint32_t wi) const {
-  const World& w = pool_.world(wi);
-  RunResult r;
-  r.reason = w.last_reason;
-  r.stats = w.stats;
-  return r;
-}
-
 void BatchEngine::submit_change(World& w, const Wme* wme, std::int8_t sign) {
   if (match_pool_) {
     match_pool_->push_root(w.id, wme, sign, batch_match_stats_);
@@ -106,64 +52,30 @@ void BatchEngine::drain_world_queue(World& w) {
   match::MatchContext ctx;
   ctx.strategy = match::MemoryStrategy::Hash;
   ctx.arena = &w.arenas[0];
-  ctx.stats = &w.stats.match;
+  ctx.stats = &w.stats().match;
   ctx.code = code_;
-  while (!w.inline_queue.empty()) {
-    const match::Task task = w.inline_queue.front();
-    w.inline_queue.pop_front();
-    w.emit_buf.clear();
-    match::process_task(ctx, w.ctx, pool_.network(), task, w.emit_buf);
-    for (const match::Task& t : w.emit_buf) w.inline_queue.push_back(t);
-    w.stats.match.tasks_executed += 1;
-  }
+  match::drain_fifo(ctx, w.ctx, pool_.network(), w.inline_queue, w.emit_buf);
 }
 
-void BatchEngine::apply_restored_refraction(World& w) {
-  for (const FiringRecord& rec : w.restored_fired)
-    w.cs->mark_fired(rec.prod_index, rec.timetags);
-  w.restored_fired.clear();
+void BatchEngine::flush_pending(World& w) {
+  w.flush_pending([&](const Wme* wme, std::int8_t sign) {
+    submit_change(w, wme, sign);
+  });
 }
 
 void BatchEngine::capture_digest(World& w) {
   if (!digest_capture_) return;
-  if (!w.digests.empty() && w.digests.back().cycle == w.stats.cycles) return;
-  w.digests.push_back(
-      {w.stats.cycles, rr::wm_digest(*w.wm), rr::cs_digest(*w.cs)});
+  const std::uint64_t cycle = w.stats().cycles;
+  if (!w.digests.empty() && w.digests.back().cycle == cycle) return;
+  w.digests.push_back({cycle, rr::wm_digest(w.wm()), rr::cs_digest(*w.cs)});
 }
 
 bool BatchEngine::fire_one(World& w) {
-  if (w.halted) {
-    w.last_reason = StopReason::Halt;
+  if (!w.fire(*w.cs, options_.strategy, pool_.rhs())) {
     w.live = false;
     return false;
   }
-  if (w.stats.cycles >= w.max_cycles) {
-    w.last_reason = StopReason::MaxCycles;
-    w.live = false;
-    return false;
-  }
-  auto inst = w.cs->select_and_fire(options_.strategy);
-  if (!inst) {
-    w.last_reason = StopReason::EmptyConflictSet;
-    w.live = false;
-    return false;
-  }
-  ++w.stats.cycles;
-  ++w.stats.firings;
-  FiringRecord rec;
-  rec.prod_index = inst->prod_index;
-  rec.timetags = inst->tags_in_order();
-  if (options_.watch >= 1 && options_.out) {
-    *options_.out << "[w" << w.id << "] " << w.stats.cycles << ". "
-                  << symbol_name(
-                         pool_.program().productions()[inst->prod_index].name);
-    for (const TimeTag t : rec.timetags) *options_.out << " " << t;
-    *options_.out << "\n";
-  }
-  w.trace.push_back(std::move(rec));
-  WorldEffects fx(*this, w);
-  run_rhs(pool_.rhs()[inst->prod_index], pool_.program(), inst->wmes, *w.wm,
-          fx);
+  flush_pending(w);  // the RHS's changes reach the matcher
   return true;
 }
 
@@ -173,8 +85,7 @@ void BatchEngine::run_all() {
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
     World& w = pool_.world(i);
     w.live = true;
-    for (const auto& [wme, sign] : w.pending) submit_change(w, wme, sign);
-    w.pending.clear();
+    flush_pending(w);
   }
   // Inline mode drained eagerly; the threaded control drains here.
   if (match_pool_) match_pool_->wait_quiescent(batch_match_stats_);
@@ -182,8 +93,8 @@ void BatchEngine::run_all() {
   if (options_.rr_faults) options_.rr_faults->set_cycle(round);
   for (std::uint32_t i = 0; i < pool_.size(); ++i) {
     World& w = pool_.world(i);
-    w.wm->collect();
-    apply_restored_refraction(w);
+    w.wm().collect();
+    w.apply_restored_refraction(*w.cs);
     capture_digest(w);
   }
   // Batch rounds: every live world fires one instantiation and evaluates
@@ -204,7 +115,7 @@ void BatchEngine::run_all() {
     if (options_.rr_faults) options_.rr_faults->set_cycle(++round);
     for (const std::uint32_t i : fired) {
       World& w = pool_.world(i);
-      w.wm->collect();
+      w.wm().collect();
       capture_digest(w);
     }
   }
@@ -217,18 +128,17 @@ RunResult BatchEngine::run_world(std::uint32_t wi) {
         "run_world: single-world runs need inline match "
         "(match_processes == 0); use run_all for the threaded pool");
   World& w = pool_.world(wi);
-  for (const auto& [wme, sign] : w.pending) submit_change(w, wme, sign);
-  w.pending.clear();
-  w.wm->collect();
-  apply_restored_refraction(w);
+  flush_pending(w);
+  w.wm().collect();
+  w.apply_restored_refraction(*w.cs);
   capture_digest(w);
   for (;;) {
     w.live = true;
     if (!fire_one(w)) break;
-    w.wm->collect();
+    w.wm().collect();
     capture_digest(w);
   }
-  return result(wi);
+  return w.result();
 }
 
 }  // namespace psme::world

@@ -50,12 +50,16 @@ class BatchEngine {
   const EngineOptions& options() const { return options_; }
 
   // Working-memory edits between runs, addressed by world.
-  const Wme* make(std::uint32_t w, std::string_view wme_literal);
+  const Wme* make(std::uint32_t w, std::string_view wme_literal) {
+    return pool_.world(w).make(wme_literal);
+  }
   const Wme* make(std::uint32_t w, SymbolId cls,
-                  const std::vector<std::pair<SymbolId, Value>>& fields);
-  void remove(std::uint32_t w, TimeTag tag);
+                  const std::vector<std::pair<SymbolId, Value>>& fields) {
+    return pool_.world(w).make(cls, fields);
+  }
+  void remove(std::uint32_t w, TimeTag tag) { pool_.world(w).remove(tag); }
   void set_max_cycles(std::uint32_t w, std::uint64_t n) {
-    pool_.world(w).max_cycles = n;
+    pool_.world(w).set_max_cycles(n);
   }
 
   // Runs every world to halt / empty conflict set / its cycle cap, with
@@ -66,7 +70,7 @@ class BatchEngine {
   // to call concurrently for DIFFERENT worlds.
   RunResult run_world(std::uint32_t w);
   // Stop reason + stats of the world's last run.
-  RunResult result(std::uint32_t w) const;
+  RunResult result(std::uint32_t w) const { return pool_.world(w).result(); }
 
   // Checkpoints (psme.checkpoint.v1 payload; serve/checkpoint.hpp wraps
   // this with the program fingerprint).
@@ -90,16 +94,16 @@ class BatchEngine {
   }
 
  private:
-  // Per-world RhsEffects: routes a production's WM changes back into this
-  // engine as (world, root-task) submissions.
-  class WorldEffects;
-
+  // Sends one WM change to the matcher as a (world, root-task): the
+  // shared pool in threaded mode, the world's inline queue otherwise.
   void submit_change(World& w, const Wme* wme, std::int8_t sign);
   void drain_world_queue(World& w);  // inline mode
-  void apply_restored_refraction(World& w);
+  // Submits the world's queued changes (make/remove, RHS).
+  void flush_pending(World& w);
   void capture_digest(World& w);
-  // One world's recognize-act select+fire; returns false when the world
-  // is finished (live cleared, last_reason set).
+  // One world's recognize-act cycle (SessionState::fire) plus the flush of
+  // its RHS changes; returns false when the world is finished (live
+  // cleared, stop reason recorded).
   bool fire_one(World& w);
 
   EngineOptions options_;

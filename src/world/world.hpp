@@ -15,10 +15,10 @@
 // exactly one world (BumpArena::owns backs the isolation tests).
 //
 // Lifecycle: construct → load wmes → run (batched or solo) → snapshot /
-// reset / restore. reset_world() is madrona's WorldReset: the arenas are
+// reset / restore. World::reset() is madrona's WorldReset: the arenas are
 // poisoned (stale cross-world pointers read 0x5a garbage, not plausible
-// tokens) and the WM/conflict set/tables are rebuilt empty; restore_world()
-// then replays an EngineSnapshot into the fresh world.
+// tokens) and the WM/conflict set/tables are rebuilt empty; restore_state()
+// (SessionState) then replays an EngineSnapshot into the fresh world.
 #pragma once
 
 #include <cstdint>
@@ -26,40 +26,39 @@
 #include <memory>
 #include <vector>
 
-#include "engine/engine_base.hpp"
+#include "engine/session_state.hpp"
 #include "match/kernel.hpp"
 #include "match/memory.hpp"
 #include "match/task.hpp"
+#include "rete/network.hpp"
 
 namespace psme::world {
 
-// One session's mutable state. Not movable once initialized (the
-// WorldContext holds interior pointers); WorldPool stores worlds behind
-// unique_ptr.
-struct World {
+// One session's mutable state: the control state (SessionState: working
+// memory, trace, stop bookkeeping, pending changes) plus the world's match
+// state. Not movable (the WorldContext holds interior pointers); WorldPool
+// stores worlds behind unique_ptr. A world keeps SessionState's default
+// submit_change: the RHS's changes queue as pending and the BatchEngine
+// flushes them to the matcher after each act step.
+struct World : SessionState {
+  // `endpoints` arenas, one per scheduler endpoint (shard slices: one).
+  World(std::uint32_t id, const ops5::Program& program,
+        const EngineOptions& options, int endpoints);
+  // madrona's WorldReset: poisons the arenas, then rebuilds the session
+  // and match state empty; restore_state may then replay a snapshot.
+  void reset(const EngineOptions& options);
+
   std::uint32_t id = 0;
   // Per-world RNG seed: splitmix-style mix of EngineOptions::seed and the
   // world id. The engine never consumes it — it is the deterministic
   // per-world variation source for benches and tests.
   std::uint64_t seed = 0;
 
-  std::unique_ptr<WorkingMemory> wm;
   std::unique_ptr<ConflictSet> cs;
   std::unique_ptr<match::HashTokenTable> left_table;
   std::unique_ptr<match::HashTokenTable> right_table;
   std::vector<match::BumpArena> arenas;  // one per scheduler endpoint
   match::WorldContext ctx;               // views over the tables + cs
-
-  std::vector<FiringRecord> trace;
-  RunStats stats;
-  bool halted = false;
-  std::uint64_t max_cycles = 1'000'000;
-  StopReason last_reason = StopReason::EmptyConflictSet;
-
-  // Changes queued by make()/remove() since the last run.
-  std::vector<std::pair<const Wme*, std::int8_t>> pending;
-  // Refraction records queued by restore_world().
-  std::vector<FiringRecord> restored_fired;
 
   // Inline-mode match queue (match_processes == 0): per-world so
   // concurrent run_world() calls on different worlds never share state.
@@ -77,19 +76,11 @@ struct World {
 
   // True while run_all() still has work for this world.
   bool live = false;
-};
 
-// Shared World lifecycle, usable without a WorldPool (the shard engines
-// build per-session Worlds over their own shared image; see
-// src/shard/shard.hpp). All four keep psme.checkpoint.v1 semantics.
-void init_world(World& w, std::uint32_t id, const ops5::Program& program,
-                const EngineOptions& options, int endpoints);
-EngineSnapshot snapshot_world_state(const World& w);
-// Poisons the arenas and rebuilds the mutable state empty.
-void reset_world_state(World& w, const ops5::Program& program,
-                       const EngineOptions& options, int endpoints);
-// Replays a snapshot into a freshly reset world.
-void restore_world_state(World& w, const EngineSnapshot& snap);
+ private:
+  // Fresh conflict set and token tables, wired into ctx.
+  void build_match_state(const EngineOptions& options);
+};
 
 // Owns N worlds plus the single shared compiled image: one Rete network
 // (with its bytecode CodeStore) and one compiled-RHS vector, built once
@@ -113,7 +104,7 @@ class WorldPool {
   const std::vector<CompiledRhs>& rhs() const { return rhs_; }
   int endpoints() const { return endpoints_; }
 
-  // Checkpoint surface (psme.checkpoint.v1 semantics, engine_base.hpp):
+  // Checkpoint surface (psme.checkpoint.v1 semantics, session_state.hpp):
   // snapshot at a quiescent point; reset poisons the arenas and rebuilds
   // empty per-world state; restore replays a snapshot into a reset world.
   EngineSnapshot snapshot_world(std::uint32_t w) const;

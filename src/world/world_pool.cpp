@@ -1,6 +1,9 @@
 #include "world/world.hpp"
 
 #include <stdexcept>
+#include <string>
+
+#include "rete/builder.hpp"
 
 namespace psme::world {
 
@@ -18,97 +21,57 @@ WorldPool::WorldPool(const ops5::Program& program,
     : program_(program),
       options_(options),
       endpoints_(endpoints),
-      network_(rete::build_network(program)) {
+      network_(rete::build_network(program)),
+      rhs_(compile_rhs(program)) {
   if (num_worlds == 0)
     throw std::invalid_argument("WorldPool: need at least one world");
   if (endpoints < 1)
     throw std::invalid_argument("WorldPool: need at least one endpoint");
-  rhs_.reserve(program.productions().size());
-  for (const auto& prod : program.productions())
-    rhs_.push_back(compile_rhs(program, prod));
   worlds_.reserve(num_worlds);
-  for (std::uint32_t i = 0; i < num_worlds; ++i) {
-    worlds_.push_back(std::make_unique<World>());
-    init_world(*worlds_.back(), i, program_, options_, endpoints_);
-  }
+  for (std::uint32_t i = 0; i < num_worlds; ++i)
+    worlds_.push_back(
+        std::make_unique<World>(i, program_, options_, endpoints_));
 }
 
-void init_world(World& w, std::uint32_t id, const ops5::Program& program,
-                const EngineOptions& options, int endpoints) {
-  w.id = id;
-  w.seed = WorldPool::world_seed(options.seed, id);
-  w.wm = std::make_unique<WorkingMemory>(program);
-  w.cs = std::make_unique<ConflictSet>(program);
-  w.left_table =
-      std::make_unique<match::HashTokenTable>(options.hash_buckets);
-  w.right_table =
-      std::make_unique<match::HashTokenTable>(options.hash_buckets);
-  if (w.arenas.empty())
-    w.arenas = std::vector<match::BumpArena>(
-        static_cast<std::size_t>(endpoints));
-  w.ctx.left_table = w.left_table.get();
-  w.ctx.right_table = w.right_table.get();
-  w.ctx.conflict_set = w.cs.get();
-  w.max_cycles = options.max_cycles;
+World::World(std::uint32_t world_id, const ops5::Program& program,
+             const EngineOptions& options, int endpoints)
+    : SessionState(program, options, "[w" + std::to_string(world_id) + "] "),
+      id(world_id),
+      seed(WorldPool::world_seed(options.seed, world_id)),
+      arenas(static_cast<std::size_t>(endpoints)) {
+  build_match_state(options);
 }
 
-EngineSnapshot snapshot_world_state(const World& w) {
-  EngineSnapshot snap;
-  snap.next_timetag = w.wm->last_timetag() + 1;
-  for (const Wme* wme : w.wm->snapshot())
-    snap.wmes.push_back({wme->timetag, wme->cls, wme->fields});
-  for (const Instantiation& inst : w.cs->snapshot())
-    if (inst.fired)
-      snap.fired.push_back({inst.prod_index, inst.tags_in_order()});
-  snap.trace = w.trace;
-  snap.cycles = w.stats.cycles;
-  snap.halted = w.halted;
-  return snap;
+void World::build_match_state(const EngineOptions& options) {
+  cs = std::make_unique<ConflictSet>(program_);
+  left_table = std::make_unique<match::HashTokenTable>(options.hash_buckets);
+  right_table = std::make_unique<match::HashTokenTable>(options.hash_buckets);
+  ctx.left_table = left_table.get();
+  ctx.right_table = right_table.get();
+  ctx.conflict_set = cs.get();
 }
 
-void reset_world_state(World& w, const ops5::Program& program,
-                       const EngineOptions& options, int endpoints) {
+void World::reset(const EngineOptions& options) {
   // Poison before the new state exists: any pointer that survived the
   // reset now reads arena garbage, never a live token of the next epoch.
-  for (match::BumpArena& a : w.arenas) a.reset(/*poison=*/true);
-  w.trace.clear();
-  w.stats = RunStats{};
-  w.halted = false;
-  w.last_reason = StopReason::EmptyConflictSet;
-  w.pending.clear();
-  w.restored_fired.clear();
-  w.inline_queue.clear();
-  w.emit_buf.clear();
-  w.digests.clear();
-  w.live = false;
-  init_world(w, w.id, program, options, endpoints);
-}
-
-void restore_world_state(World& w, const EngineSnapshot& snap) {
-  if (w.wm->size() != 0 || !w.trace.empty() || w.stats.cycles != 0)
-    throw std::logic_error("restore_world: world is not fresh (reset first)");
-  for (const WmeSnapshot& ws : snap.wmes) {
-    const Wme* wme = w.wm->make_with_tag(ws.timetag, ws.cls, ws.fields);
-    w.pending.emplace_back(wme, +1);
-  }
-  w.wm->set_next_tag(snap.next_timetag);
-  w.restored_fired = snap.fired;
-  w.trace = snap.trace;
-  w.stats.cycles = snap.cycles;
-  w.stats.firings = snap.cycles;
-  w.halted = snap.halted;
+  for (match::BumpArena& a : arenas) a.reset(/*poison=*/true);
+  reset_state(options.max_cycles);
+  inline_queue.clear();
+  emit_buf.clear();
+  digests.clear();
+  live = false;
+  build_match_state(options);
 }
 
 EngineSnapshot WorldPool::snapshot_world(std::uint32_t wi) const {
-  return snapshot_world_state(world(wi));
+  const World& w = world(wi);
+  return w.snapshot_state(*w.cs);
 }
 
-void WorldPool::reset_world(std::uint32_t wi) {
-  reset_world_state(world(wi), program_, options_, endpoints_);
-}
+void WorldPool::reset_world(std::uint32_t wi) { world(wi).reset(options_); }
 
 void WorldPool::restore_world(std::uint32_t wi, const EngineSnapshot& snap) {
-  restore_world_state(world(wi), snap);
+  world(wi).restore_state(snap);
 }
 
 }  // namespace psme::world

@@ -224,7 +224,7 @@ TEST_P(WorkloadEquivalence, EnginesAgree) {
       for (const std::string& lit : w.initial_wmes) batch.make(slot, lit);
     batch.run_all();
     for (std::uint32_t slot = 0; slot < 4; ++slot)
-      expect_same(batch.world(slot).trace,
+      expect_same(batch.world(slot).trace(),
                   procs == 0 ? "batch(inline)" : "batch(threaded)");
   }
 }

@@ -5,8 +5,10 @@
 #include <sstream>
 
 #include "engine/sequential_engine.hpp"
+#include "shard/shard_group.hpp"
 #include "sim/sim_engine.hpp"
 #include "workloads/workloads.hpp"
+#include "world/batch_engine.hpp"
 
 namespace psme::sim {
 namespace {
@@ -110,6 +112,50 @@ TEST(Watch, Level2AddsWmChanges) {
   EXPECT_NE(s.find("1. bump 1"), std::string::npos);
   EXPECT_NE(s.find("<=WM: 1: (a ^x 0)"), std::string::npos);
   EXPECT_NE(s.find("=>WM: 2: (a ^x 1)"), std::string::npos);
+}
+
+// World and shard sessions share the engines' act step, so watch level 2
+// prints their WM changes too, under the session's prefix.
+TEST(Watch, Level2BatchEngineAddsWmChanges) {
+  auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(p bump (a ^x 0) --> (modify 1 ^x 1))
+)");
+  std::ostringstream out;
+  EngineOptions opt;
+  opt.watch = 2;
+  opt.out = &out;
+  opt.worlds = 2;
+  world::BatchEngine batch(program, opt);
+  batch.make(1, "(a ^x 0)");
+  batch.run_all();
+  const std::string s = out.str();
+  EXPECT_NE(s.find("[w1] 1. bump 1"), std::string::npos);
+  EXPECT_NE(s.find("[w1] <=WM: 1: (a ^x 0)"), std::string::npos);
+  EXPECT_NE(s.find("[w1] =>WM: 2: (a ^x 1)"), std::string::npos);
+  EXPECT_EQ(s.find("[w0]"), std::string::npos);
+}
+
+TEST(Watch, Level2ShardGroupAddsWmChanges) {
+  auto program = ops5::Program::from_source(R"(
+(literalize a x)
+(p bump (a ^x 0) --> (modify 1 ^x 1))
+)");
+  std::ostringstream out;
+  EngineOptions opt;
+  opt.watch = 2;
+  opt.out = &out;
+  shard::ShardGroupConfig cfg;
+  cfg.shards = 2;
+  cfg.sessions = 2;
+  shard::ShardGroup group(program, opt, cfg);
+  group.make(1, "(a ^x 0)");
+  group.run_all();
+  const std::string s = out.str();
+  EXPECT_NE(s.find("[s1] 1. bump 1"), std::string::npos);
+  EXPECT_NE(s.find("[s1] <=WM: 1: (a ^x 0)"), std::string::npos);
+  EXPECT_NE(s.find("[s1] =>WM: 2: (a ^x 1)"), std::string::npos);
+  EXPECT_EQ(s.find("[s0]"), std::string::npos);
 }
 
 TEST(Watch, SimEngineAlsoTraces) {

@@ -106,8 +106,8 @@ void expect_worlds_match(BatchEngine& batch,
     }
     ASSERT_EQ(world.digests.size(), ref.digests.size())
         << label << ": world " << w << " digest row count";
-    ASSERT_EQ(world.trace, ref.trace) << label << ": world " << w
-                                      << " firing trace";
+    ASSERT_EQ(world.trace(), ref.trace) << label << ": world " << w
+                                        << " firing trace";
   }
 }
 
@@ -171,7 +171,7 @@ TEST(WorldEquivalence, RunWorldConcurrencyIsSafePerSlot) {
   for (std::thread& t : drivers) t.join();
   const std::vector<WorldRef> refs = all_refs(program, wl, batch);
   for (std::uint32_t w = 0; w < 8; ++w)
-    EXPECT_EQ(batch.world(w).trace, refs[w].trace) << "world " << w;
+    EXPECT_EQ(batch.world(w).trace(), refs[w].trace) << "world " << w;
 }
 
 TEST(WorldEquivalence, WorkerDeathMidBatchStillConverges) {
@@ -199,7 +199,7 @@ TEST(WorldEquivalence, WorkerDeathMidBatchStillConverges) {
   }();
   batch.run_all();
   for (std::uint32_t w = 0; w < 16; ++w) {
-    ASSERT_EQ(batch.world(w).trace, refs[w].trace)
+    ASSERT_EQ(batch.world(w).trace(), refs[w].trace)
         << "world " << w << " diverged after mid-batch worker death";
   }
 }
@@ -231,16 +231,16 @@ TEST(WorldEquivalence, RestoreRewindsOnlyTheRestoredWorlds) {
   std::vector<std::vector<FiringRecord>> trace6;
   for (std::uint32_t w = 0; w < 8; ++w) {
     at6.push_back(batch.snapshot_world(w));
-    trace6.push_back(batch.world(w).trace);
+    trace6.push_back(batch.world(w).trace());
   }
   for (std::uint32_t w = 0; w < 8; ++w) batch.set_max_cycles(w, 12);
   batch.run_all();
   std::vector<std::uint64_t> wm12, cycles12;
   std::vector<std::vector<FiringRecord>> trace12;
   for (std::uint32_t w = 0; w < 8; ++w) {
-    wm12.push_back(rr::wm_digest(*batch.world(w).wm));
-    cycles12.push_back(batch.world(w).stats.cycles);
-    trace12.push_back(batch.world(w).trace);
+    wm12.push_back(rr::wm_digest(batch.world(w).wm()));
+    cycles12.push_back(batch.world(w).stats().cycles);
+    trace12.push_back(batch.world(w).trace());
   }
 
   // Rewind worlds 2 and 5 to cycle 6; everyone else stays at 12.
@@ -249,20 +249,20 @@ TEST(WorldEquivalence, RestoreRewindsOnlyTheRestoredWorlds) {
     batch.restore_world(w, at6[w]);
   }
   for (const std::uint32_t w : {2u, 5u}) {
-    EXPECT_EQ(batch.world(w).stats.cycles, at6[w].cycles);
-    EXPECT_EQ(batch.world(w).trace, trace6[w]);
+    EXPECT_EQ(batch.world(w).stats().cycles, at6[w].cycles);
+    EXPECT_EQ(batch.world(w).trace(), trace6[w]);
   }
   for (const std::uint32_t w : {0u, 1u, 3u, 4u, 6u, 7u}) {
-    EXPECT_EQ(rr::wm_digest(*batch.world(w).wm), wm12[w])
+    EXPECT_EQ(rr::wm_digest(batch.world(w).wm()), wm12[w])
         << "world " << w << " mutated by a neighbor's restore";
-    EXPECT_EQ(batch.world(w).stats.cycles, cycles12[w]);
+    EXPECT_EQ(batch.world(w).stats().cycles, cycles12[w]);
   }
 
   // Re-running drives only the rewound worlds forward (the rest are at
   // their cycle cap) and reconverges them to the uninterrupted result.
   batch.run_all();
   for (const std::uint32_t w : {2u, 5u})
-    EXPECT_EQ(batch.world(w).trace, trace12[w])
+    EXPECT_EQ(batch.world(w).trace(), trace12[w])
         << "world " << w << " did not reconverge after rewind";
 
   // No cross-world references survive the rewind: every resident token

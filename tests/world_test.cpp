@@ -52,12 +52,12 @@ TEST(WorldPool, WorldsShareOneNetworkButOwnTheirState) {
   EXPECT_EQ(batch.num_worlds(), 3u);
   // One compiled image...
   EXPECT_EQ(&batch.world(0).ctx, &batch.world(0).ctx);
-  EXPECT_NE(batch.world(0).wm.get(), batch.world(1).wm.get());
+  EXPECT_NE(&batch.world(0).wm(), &batch.world(1).wm());
   EXPECT_NE(batch.world(0).left_table.get(), batch.world(1).left_table.get());
   // ...and disjoint mutable state: an edit in world 0 is invisible to 1.
   batch.make(0, "(c ^n 5)");
-  EXPECT_EQ(batch.world(0).wm->size(), 1u);
-  EXPECT_EQ(batch.world(1).wm->size(), 0u);
+  EXPECT_EQ(batch.world(0).wm().size(), 1u);
+  EXPECT_EQ(batch.world(1).wm().size(), 0u);
 }
 
 TEST(BatchEngine, RejectsNonsenseOptions) {
@@ -108,9 +108,9 @@ TEST(BatchEngine, WorldsRunIsolatedWithTheirOwnCaps) {
   batch.run_all();
   for (std::uint32_t w = 0; w < 4; ++w) {
     EXPECT_EQ(batch.result(w).reason, StopReason::MaxCycles);
-    EXPECT_EQ(batch.world(w).stats.cycles, 5 + w);
+    EXPECT_EQ(batch.world(w).stats().cycles, 5 + w);
     // The counter ticked exactly `cycles` times from its own start value.
-    const auto wmes = batch.world(w).wm->snapshot();
+    const auto wmes = batch.world(w).wm().snapshot();
     ASSERT_EQ(wmes.size(), 1u);
     EXPECT_EQ(wmes[0]->fields[0].as_int(),
               static_cast<std::int64_t>(100 * w + 5 + w));
@@ -124,9 +124,9 @@ TEST(BatchEngine, HaltStopsOnlyTheHaltingWorld) {
   batch.make(1, "(a ^x 2)");  // never matches
   batch.run_all();
   EXPECT_EQ(batch.result(0).reason, StopReason::Halt);
-  EXPECT_EQ(batch.world(0).stats.cycles, 1u);
+  EXPECT_EQ(batch.world(0).stats().cycles, 1u);
   EXPECT_EQ(batch.result(1).reason, StopReason::EmptyConflictSet);
-  EXPECT_EQ(batch.world(1).stats.cycles, 0u);
+  EXPECT_EQ(batch.world(1).stats().cycles, 0u);
 }
 
 TEST(BatchEngine, RunWorldSlicesMatchOneSequentialRun) {
@@ -146,8 +146,8 @@ TEST(BatchEngine, RunWorldSlicesMatchOneSequentialRun) {
     batch.set_max_cycles(1, cap);
     batch.run_world(1);
   }
-  EXPECT_EQ(batch.world(1).trace, ref.trace());
-  EXPECT_EQ(batch.world(0).stats.cycles, 0u);  // untouched neighbor
+  EXPECT_EQ(batch.world(1).trace(), ref.trace());
+  EXPECT_EQ(batch.world(0).stats().cycles, 0u);  // untouched neighbor
 }
 
 TEST(BatchEngine, CheckpointRestoreIntoAnotherSlotResumesIdentically) {
@@ -169,9 +169,9 @@ TEST(BatchEngine, CheckpointRestoreIntoAnotherSlotResumesIdentically) {
   batch.restore_world(2, snap);
   batch.set_max_cycles(2, 20);
   batch.run_world(2);
-  EXPECT_EQ(batch.world(2).trace, batch.world(0).trace);
-  EXPECT_EQ(batch.world(2).stats.cycles, batch.world(0).stats.cycles);
-  EXPECT_GT(batch.world(2).stats.cycles, 4u);  // it did advance past cycle 4
+  EXPECT_EQ(batch.world(2).trace(), batch.world(0).trace());
+  EXPECT_EQ(batch.world(2).stats().cycles, batch.world(0).stats().cycles);
+  EXPECT_GT(batch.world(2).stats().cycles, 4u);  // it did advance past cycle 4
 
   // A non-fresh slot refuses a restore.
   EXPECT_THROW(batch.restore_world(0, snap), std::logic_error);
@@ -224,10 +224,10 @@ TEST(BatchEngine, ArenaOwnershipProvesWorldIsolation) {
   expect_arena_isolation(batch);
 
   // Reset poisons world 1's arenas; worlds 0 and 2 must be untouched.
-  const std::uint64_t before0 = batch.world(0).stats.cycles;
+  const std::uint64_t before0 = batch.world(0).stats().cycles;
   batch.reset_world(1);
-  EXPECT_EQ(batch.world(1).wm->size(), 0u);
-  EXPECT_EQ(batch.world(0).stats.cycles, before0);
+  EXPECT_EQ(batch.world(1).wm().size(), 0u);
+  EXPECT_EQ(batch.world(0).stats().cycles, before0);
   expect_arena_isolation(batch);
 }
 

@@ -351,15 +351,15 @@ int main(int argc, char** argv) {
     batch.run_all();
     std::uint64_t cycles = 0, firings = 0;
     for (std::uint32_t w = 0; w < worlds; ++w) {
-      const auto& stats = batch.world(w).stats;
+      const auto& stats = batch.world(w).stats();
       cycles += stats.cycles;
       firings += stats.firings;
     }
     std::cout << "; " << worlds << " worlds, one compiled network\n"
               << "; total cycles: " << cycles
               << ", total firings: " << firings << "\n"
-              << "; world 0 stopped after " << batch.world(0).stats.cycles
-              << " cycles, wm size " << batch.world(0).wm->size() << "\n";
+              << "; world 0 stopped after " << batch.world(0).stats().cycles
+              << " cycles, wm size " << batch.world(0).wm().size() << "\n";
     return 0;
   }
 
