@@ -82,12 +82,16 @@ struct SeqOutcome {
   RunStats stats;
 };
 
-inline SeqOutcome run_sequential(const ProgramSpec& spec,
-                                 match::MemoryStrategy memory) {
+// Tables 4-1 to 4-4 measure the paper's 512-line vs2 tables; pass
+// hash_buckets = 0 for the network-sized tables of the real engines.
+inline SeqOutcome run_sequential(
+    const ProgramSpec& spec, match::MemoryStrategy memory,
+    std::uint32_t hash_buckets = match::kPaperTokenLines) {
   auto program = ops5::Program::from_source(spec.workload.source);
   EngineOptions opt;
   opt.memory = memory;
   opt.max_cycles = 10'000'000;
+  opt.hash_buckets = hash_buckets;
   SequentialEngine eng(program, opt);
   workloads::load(eng, spec.workload);
   const RunResult r = eng.run();

@@ -42,7 +42,9 @@ int main() {
 
   std::vector<double> seq_s;
   for (int i = 0; i < kRepeats; ++i)
-    seq_s.push_back(run_sequential(spec, match::MemoryStrategy::Hash).seconds);
+    // Sized tables, like the threaded rows (EngineOptions defaults).
+    seq_s.push_back(
+        run_sequential(spec, match::MemoryStrategy::Hash, 0).seconds);
   const Spread seq = spread_of(seq_s);
   print_row("sequential", seq, seq.median);
 

@@ -20,8 +20,9 @@ class ProfilingEngine : public EngineBase {
                   const CostModel& cost)
       : EngineBase(program, options),
         cost_(cost),
-        left_table_(options.hash_buckets),
-        right_table_(options.hash_buckets) {
+        // The paper's 512 lines, like the simulator it is compared with.
+        left_table_(token_hash_lines(options, match::kPaperTokenLines)),
+        right_table_(left_table_.size()) {
     ctx_.strategy = match::MemoryStrategy::Hash;
     world_.left_table = &left_table_;
     world_.right_table = &right_table_;

@@ -159,6 +159,10 @@ struct RunStats {
   double match_seconds = 0.0;      // wall-clock time spent in match
   double total_seconds = 0.0;      // wall-clock time for the whole run
   double sim_match_seconds = 0.0;  // virtual time (simulator engines only)
+  // Lines per side of the token hash tables the run matched with (after
+  // EngineOptions::hash_buckets is resolved and rounded); 0 for engines
+  // without the vs2 hash memories.
+  std::uint32_t hash_lines = 0;
   MatchStats match;
 };
 

@@ -25,8 +25,6 @@ void validate_options(const EngineOptions& options, ExecutionMode mode) {
     throw std::invalid_argument("EngineOptions.match_processes is negative");
   if (options.task_queues < 1)
     throw std::invalid_argument("EngineOptions.task_queues must be >= 1");
-  if (options.hash_buckets == 0)
-    throw std::invalid_argument("EngineOptions.hash_buckets must be >= 1");
   const bool parallel = mode == ExecutionMode::ParallelThreads ||
                         mode == ExecutionMode::SimulatedMultimax;
   if (parallel && options.memory != match::MemoryStrategy::Hash)

@@ -78,6 +78,8 @@ class MatchPool {
 
   std::uint64_t threads_spawned() const { return thread_spawns_; }
   std::uint64_t runs_started() const { return runs_started_; }
+  // Hash-line locks in the pool (a power of two).
+  std::uint32_t lock_lines() const { return lock_mask_ + 1; }
 
  private:
   struct alignas(64) Worker {  // no false sharing between workers' stats

@@ -42,8 +42,14 @@ struct EngineOptions {
   match::SchedulerKind scheduler = match::SchedulerKind::Central;
   std::uint32_t steal_deque_capacity = match::WsDeque::kDefaultCapacity;
 
-  // Token hash tables: number of buckets per side (power of two).
-  std::uint32_t hash_buckets = 512;
+  // Token hash tables: lines (buckets) per side, rounded up to a power of
+  // two. 0 picks the engine's own size (token_hash_lines below):
+  // SequentialEngine and ParallelEngine size their tables from the network
+  // (match::token_lines: 4 lines per join node, clamped to [512, 8192]);
+  // SimEngine, the parallelism profiler and world::World keep the paper's
+  // 512 (match::kPaperTokenLines), the setting behind the paper tables and
+  // weaver's "moderate occupancy" there. A non-zero value overrides both.
+  std::uint32_t hash_buckets = 0;
 
   // Multi-world batching (src/world/): number of independent worlds a
   // world::BatchEngine hosts. 0 = not batching (the single-world Engine
@@ -88,6 +94,13 @@ struct EngineOptions {
   rr::ReplayCoordinator* rr_replay = nullptr;
   rr::FaultInjector* rr_faults = nullptr;
 };
+
+// The line count a hash-memory engine builds its token tables with: the
+// explicit EngineOptions::hash_buckets, else the engine's `sized` default.
+inline std::uint32_t token_hash_lines(const EngineOptions& options,
+                                      std::uint32_t sized) {
+  return options.hash_buckets != 0 ? options.hash_buckets : sized;
+}
 
 struct FiringRecord {
   std::uint32_t prod_index = 0;

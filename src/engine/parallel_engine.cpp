@@ -8,8 +8,8 @@ namespace psme {
 ParallelEngine::ParallelEngine(const ops5::Program& program,
                                EngineOptions options)
     : EngineBase(program, options),
-      left_table_(options_.hash_buckets),
-      right_table_(options_.hash_buckets),
+      left_table_(token_hash_lines(options_, match::token_lines(*network_))),
+      right_table_(left_table_.size()),
       world_{.left_table = &left_table_,
              .right_table = &right_table_,
              .conflict_set = &cs_},
@@ -24,6 +24,7 @@ ParallelEngine::ParallelEngine(const ops5::Program& program,
   if (options_.memory != match::MemoryStrategy::Hash)
     throw std::invalid_argument(
         "the parallel matcher uses the global hash-table memories (vs2)");
+  stats_.hash_lines = left_table_.size();
 }
 
 void ParallelEngine::submit_change(const Wme* wme, std::int8_t sign) {

@@ -45,6 +45,8 @@ class ParallelEngine : public EngineBase {
   // the thread-reuse guarantee the serving layer depends on.
   std::uint64_t threads_spawned() const { return pool_.threads_spawned(); }
   std::uint64_t runs_started() const { return pool_.runs_started(); }
+  // Hash-line locks: one per token-table line (stats().hash_lines).
+  std::uint32_t lock_lines() const { return pool_.lock_lines(); }
 
  protected:
   void submit_change(const Wme* wme, std::int8_t sign) override;

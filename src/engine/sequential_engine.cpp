@@ -9,11 +9,13 @@ SequentialEngine::SequentialEngine(const ops5::Program& program,
     : EngineBase(program, options) {
   ctx_.strategy = options_.memory;
   if (options_.memory == match::MemoryStrategy::Hash) {
-    left_table_ = std::make_unique<match::HashTokenTable>(options_.hash_buckets);
-    right_table_ =
-        std::make_unique<match::HashTokenTable>(options_.hash_buckets);
+    const std::uint32_t lines =
+        token_hash_lines(options_, match::token_lines(*network_));
+    left_table_ = std::make_unique<match::HashTokenTable>(lines);
+    right_table_ = std::make_unique<match::HashTokenTable>(lines);
     world_.left_table = left_table_.get();
     world_.right_table = right_table_.get();
+    stats_.hash_lines = left_table_->size();
   } else {
     list_mems_ =
         std::make_unique<match::ListMemories>(network_->num_list_memories());

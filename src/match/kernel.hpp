@@ -97,6 +97,12 @@ inline std::uint32_t line_of(const Task& task, const HashTokenTable& table) {
   return table.line_of(task_hash(task));
 }
 
+// Lines per side for a real engine's token tables, sized from the
+// network's join-node count (memory.hpp: token_lines_for_joins).
+inline std::uint32_t token_lines(const rete::Network& network) {
+  return token_lines_for_joins(network.joins().size());
+}
+
 // --- Full activations (line held exclusively, or sequential) -------------
 
 // Root task: run the alpha programs for the wme's class; schedules join /

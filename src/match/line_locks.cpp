@@ -4,6 +4,19 @@
 
 #include "obs/metrics.hpp"
 
+// -fsanitize=thread (PSME_SANITIZE=thread) defines __SANITIZE_THREAD__ on
+// GCC; Clang reports it through __has_feature.
+#if defined(__SANITIZE_THREAD__)
+#define PSME_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define PSME_TSAN 1
+#endif
+#endif
+#ifdef PSME_TSAN
+#include <sanitizer/tsan_interface.h>
+#endif
+
 namespace psme::match {
 
 namespace {
@@ -85,9 +98,14 @@ void LineLocks::unlock_modification(std::uint32_t line) {
 // the even sequence with a release store, ordering all mutations before it.
 // Readers load the sequence with acquire and re-check it behind an acquire
 // fence, so any data they read between begin and validate is ordered inside
-// the window the two sequence values delimit. The counter is 32 bits: a
-// false "unchanged" verdict would need 2^31 writer commits inside one
-// speculative probe, which cannot happen.
+// the window the two sequence values delimit. ThreadSanitizer does not model
+// fences, so a TSan build replaces the fence with __tsan_acquire on the
+// sequence word (Boehm, "Can Seqlocks Get Along with Programming Language
+// Memory Models?", MSPC 2012, gives this reader form): the check then
+// acquires what the last writer released, which is what the fence gives
+// the reader that validates. The counter is 32 bits: a false "unchanged"
+// verdict would need 2^31 writer commits inside one speculative probe,
+// which cannot happen.
 
 std::uint32_t LineLocks::seq_begin(std::uint32_t line) const {
   const Line& l = lines_[line];
@@ -99,8 +117,13 @@ std::uint32_t LineLocks::seq_begin(std::uint32_t line) const {
 }
 
 bool LineLocks::seq_validate(std::uint32_t line, std::uint32_t s0) const {
+  const std::atomic<std::uint32_t>& seq = lines_[line].seq;
+#ifdef PSME_TSAN
+  __tsan_acquire(const_cast<std::atomic<std::uint32_t>*>(&seq));
+#else
   std::atomic_thread_fence(std::memory_order_acquire);
-  return lines_[line].seq.load(std::memory_order_relaxed) == s0;
+#endif
+  return seq.load(std::memory_order_relaxed) == s0;
 }
 
 bool LineLocks::try_writer_commit(std::uint32_t line, std::uint32_t s0,

@@ -101,6 +101,27 @@ inline void seq_store(T& field, T value) {
   std::atomic_ref<T>(field).store(value, std::memory_order_release);
 }
 
+// Hash-line counts. The paper's tables run every program at 512 lines per
+// side, which gives weaver its "moderate" bucket occupancy (Tables 4-1 to
+// 4-3); the simulator and the paper-table benches keep that setting. The
+// real engines size their tables from the network instead (token_lines in
+// kernel.hpp): about four lines per join node, so other (node, key) pairs
+// rarely share a line and a join activation scans only its own entries.
+// EXPERIMENTS.md ("token-table line count") has the sweep these constants come
+// from; docs/memory-layout.md has the bytes they cost.
+inline constexpr std::uint32_t kPaperTokenLines = 512;
+inline constexpr std::uint32_t kMaxTokenLines = 8192;
+inline constexpr std::uint32_t kTokenLinesPerJoin = 4;
+
+// The sized line count for a network of `joins` join nodes: a power of two
+// in [kPaperTokenLines, kMaxTokenLines], non-decreasing in `joins`.
+constexpr std::uint32_t token_lines_for_joins(std::size_t joins) {
+  const std::size_t want = kTokenLinesPerJoin * joins;
+  if (want <= kPaperTokenLines) return kPaperTokenLines;
+  if (want >= kMaxTokenLines) return kMaxTokenLines;
+  return static_cast<std::uint32_t>(std::bit_ceil(want));
+}
+
 // One side's global hash table (vs2 / parallel backend). A non-power-of-two
 // bucket count would silently map hashes onto a subset of buckets through
 // `mask_`, so the count is rounded up to the next power of two.

@@ -1,16 +1,23 @@
 // Bounded Chase-Lev work-stealing deque for match tasks.
 //
 // One owner pushes and pops at the bottom without any lock (a release
-// publication and a seq_cst fence on the take path); any number of thieves
-// steal the oldest task from the top with a single CAS. This is the
-// per-worker discipline the paper's central queues lack: the owner's fast
-// path never touches a shared lock word, so the Table 4-7 contention
-// climb disappears by construction. The algorithm is the C11 formulation
-// of Chase-Lev (Le, Pop, Cohen, Zappa Nardelli, "Correct and Efficient
-// Work-Stealing for Weak Memory Models"), restricted to a fixed-capacity
-// ring: instead of growing, a full deque rejects the push and the caller
-// spills to a spin-locked overflow list (see scheduler.hpp), which keeps
-// every slot access inside a bounded, pre-allocated array.
+// publication, and seq_cst on the take path's bottom/top accesses); any
+// number of thieves steal the oldest task from the top with a single CAS.
+// This is the per-worker discipline the paper's central queues lack: the
+// owner's fast path never touches a shared lock word, so the Table 4-7
+// contention climb disappears by construction. The algorithm is the C11
+// formulation of Chase-Lev (Le, Pop, Cohen, Zappa Nardelli, "Correct and
+// Efficient Work-Stealing for Weak Memory Models"), with each fence's
+// ordering moved onto the atomic access it orders: the release fence of
+// push becomes a release store of bottom, the seq_cst fences of take and
+// steal become seq_cst accesses of bottom and top. ThreadSanitizer does
+// not model std::atomic_thread_fence, but it does model orderings on
+// operations, and on x86 these compile to the same or cheaper
+// instructions (the take path's MOV + MFENCE becomes one XCHG). The deque
+// is restricted to a fixed-capacity ring: instead of growing, a full
+// deque rejects the push and the caller spills to a spin-locked overflow
+// list (see scheduler.hpp), which keeps every slot access inside a
+// bounded, pre-allocated array.
 //
 // Slots store the 5-word Task packed into atomic words, so a thief racing
 // a wrapped-around owner reads torn-but-discarded data instead of a data
@@ -18,9 +25,9 @@
 // observed top past the thief's index, and the thief's CAS fails. The
 // payload words are published per slot — pointers stored relaxed, then the
 // header word with release; the reader loads the header with acquire
-// before the pointers. That pairing (rather than leaning on the batch
-// fence alone) also hands the thief a happens-before edge to the pointed-
-// to Token/Wme contents, which fences hide from ThreadSanitizer.
+// before the pointers. That pairing (beside the release of bottom) also
+// hands the thief a happens-before edge to the pointed-to Token/Wme
+// contents.
 #pragma once
 
 #include <atomic>
@@ -64,18 +71,18 @@ class WsDeque {
                          ? n
                          : static_cast<std::size_t>(free));
     for (std::size_t i = 0; i < r; ++i) store_slot(b + static_cast<std::int64_t>(i), tasks[i]);
-    std::atomic_thread_fence(std::memory_order_release);
     bottom_.store(b + static_cast<std::int64_t>(r),
-                  std::memory_order_relaxed);
+                  std::memory_order_release);
     return r;
   }
 
   // Owner only: LIFO take from the bottom.
   bool pop(Task* out) {
     const std::int64_t b = bottom_.load(std::memory_order_relaxed) - 1;
-    bottom_.store(b, std::memory_order_relaxed);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    std::int64_t t = top_.load(std::memory_order_relaxed);
+    // Store-then-load across two locations: seq_cst on both keeps a thief
+    // from taking the element this pop also takes (the Dekker pattern).
+    bottom_.store(b, std::memory_order_seq_cst);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
     if (t <= b) {
       *out = load_slot(b);
       if (t == b) {
@@ -93,9 +100,8 @@ class WsDeque {
 
   // Any thread: FIFO steal from the top.
   Steal steal(Task* out) {
-    std::int64_t t = top_.load(std::memory_order_acquire);
-    std::atomic_thread_fence(std::memory_order_seq_cst);
-    const std::int64_t b = bottom_.load(std::memory_order_acquire);
+    std::int64_t t = top_.load(std::memory_order_seq_cst);
+    const std::int64_t b = bottom_.load(std::memory_order_seq_cst);
     if (t >= b) return Steal::Empty;
     *out = load_slot(t);  // possibly stale; validated by the CAS
     if (!top_.compare_exchange_strong(t, t + 1, std::memory_order_seq_cst,

@@ -113,6 +113,11 @@ void Observability::export_run_stats(const RunStats& stats,
                  "bucket entries skipped because their (node, key) hash "
                  "prefilter missed — unrelated residents of the line"))
       .add(0, m.line_collisions);
+  registry
+      .gauge(g("psme.match.hash_lines", "lines",
+               "lines per side of the run's token hash tables (0 = no "
+               "vs2 hash memories)"))
+      .set(stats.hash_lines);
 
   for (int s = 0; s < 2; ++s) {
     const Side side = s == 0 ? Side::Left : Side::Right;

@@ -29,11 +29,15 @@ SimEngine::SimEngine(const ops5::Program& program, EngineOptions options,
     throw std::invalid_argument("SimEngine requires at least one match CPU");
   if (options_.memory != match::MemoryStrategy::Hash)
     throw std::invalid_argument("SimEngine uses the hash-table memories");
-  left_table_ = std::make_unique<match::HashTokenTable>(options_.hash_buckets);
-  right_table_ =
-      std::make_unique<match::HashTokenTable>(options_.hash_buckets);
+  // The paper's 512 lines, not the network-sized count of the real
+  // engines: the simulator prices the paper's tables.
+  const std::uint32_t lines =
+      token_hash_lines(options_, match::kPaperTokenLines);
+  left_table_ = std::make_unique<match::HashTokenTable>(lines);
+  right_table_ = std::make_unique<match::HashTokenTable>(lines);
   world_.left_table = left_table_.get();
   world_.right_table = right_table_.get();
+  stats_.hash_lines = left_table_->size();
   world_.conflict_set = &cs_;
 }
 

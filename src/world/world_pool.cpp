@@ -44,10 +44,14 @@ World::World(std::uint32_t world_id, const ops5::Program& program,
 
 void World::build_match_state(const EngineOptions& options) {
   cs = std::make_unique<ConflictSet>(program_);
-  left_table = std::make_unique<match::HashTokenTable>(options.hash_buckets);
-  right_table = std::make_unique<match::HashTokenTable>(options.hash_buckets);
+  // Sized per engine, not per world: a pool of N worlds keeps the paper's
+  // 512 lines each unless the options set an explicit size.
+  const std::uint32_t lines = token_hash_lines(options, match::kPaperTokenLines);
+  left_table = std::make_unique<match::HashTokenTable>(lines);
+  right_table = std::make_unique<match::HashTokenTable>(lines);
   ctx.left_table = left_table.get();
   ctx.right_table = right_table.get();
+  stats_.hash_lines = left_table->size();
   ctx.conflict_set = cs.get();
 }
 

@@ -22,6 +22,7 @@ struct Fixture {
     EngineOptions opt;
     opt.memory = mem;
     opt.max_cycles = 1'000'000;
+    opt.hash_buckets = match::kPaperTokenLines;  // the paper tables' size
     SequentialEngine eng(program, opt);
     workloads::load(eng, w);
     return eng.run().stats;

@@ -412,6 +412,7 @@ int main(int argc, char** argv) {
               << "; node activations:  " << m.node_activations << "\n"
               << "; emissions:         " << m.emissions << "\n"
               << "; conjugate pairs:   " << m.conjugate_hits << "\n"
+              << "; hash lines:        " << result.stats.hash_lines << "\n"
               << "; opp examined L/R:  " << m.mean_opp_examined(psme::Side::Left)
               << " / " << m.mean_opp_examined(psme::Side::Right) << "\n"
               << "; queue contention:  " << m.queue_contention() << "\n"
